@@ -341,6 +341,10 @@ fn main() -> ExitCode {
     if args.antagonist {
         cfg = cfg.with_antagonist();
     }
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
 
     if args.all_policies {
         let cells: Vec<SweepCell> = SteeringPolicy::ALL

@@ -93,7 +93,7 @@ fn check_rejects_each_bad_corpus_file_naming_line_and_column() {
         assert!(line >= 1 && col >= 1, "{}: {stderr}", path.display());
         rejected += 1;
     }
-    assert_eq!(rejected, 12, "the whole corpus was exercised");
+    assert_eq!(rejected, 13, "the whole corpus was exercised");
 }
 
 #[test]

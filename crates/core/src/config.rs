@@ -1,5 +1,7 @@
 //! Full-system configuration (Table I defaults plus workload wiring).
 
+use std::borrow::Cow;
+
 use idio_cache::addr::CoreId;
 use idio_cache::config::{CacheGeometry, HierarchyConfig};
 use idio_cache::hierarchy::InvalidateScope;
@@ -43,7 +45,8 @@ pub struct WorkloadSpec {
     pub core: CoreId,
     /// Which Table II workload.
     pub kind: NfKind,
-    /// Arrival pattern of this instance's flow.
+    /// Arrival pattern of this instance's flow (when no tenant owns the
+    /// workload).
     pub traffic: TrafficPattern,
     /// Frame size in bytes.
     pub packet_len: u16,
@@ -58,11 +61,13 @@ pub struct WorkloadSpec {
     pub pool: Option<PoolSpec>,
 }
 
-/// One tenant of a multi-tenant run: a group of workload instances
-/// (queues/cores) fed by a *single* aggregate traffic source whose flows
-/// are spread across the group.
+/// One tenant of a run: a group of workload instances (queues/cores) fed
+/// by a *single* aggregate traffic source whose flows are spread across
+/// the group. Tenants are the only arrival path: a config that declares
+/// none gets one single-flow tenant per workload
+/// ([`SystemConfig::arrival_tenants`]).
 ///
-/// In tenant mode the per-workload [`WorkloadSpec::traffic`] is ignored:
+/// A tenant's workloads ignore their own [`WorkloadSpec::traffic`]:
 /// arrivals come from one [`idio_net::gen::MultiFlowGen`] per tenant (or a
 /// replayed trace), dealt round-robin over `flows` distinct five-tuples.
 /// Under [`FlowSteering::Perfect`] flow `i` is pinned to the tenant's
@@ -191,14 +196,11 @@ pub struct SystemConfig {
     pub workloads: Vec<WorkloadSpec>,
     /// Optional antagonist co-runner.
     pub antagonist: Option<AntagonistSpec>,
-    /// Trace replays: workload index → recorded arrivals that replace the
-    /// workload's analytic traffic pattern (see `idio_net::trace`).
-    /// Ignored in tenant mode (use [`TenantSpec::replay`] there).
-    pub trace_replays: std::collections::BTreeMap<usize, Vec<Arrival>>,
-    /// Tenant groups. Empty = legacy mode (one flow per workload, each
-    /// workload driven by its own `traffic`); non-empty = tenant mode
-    /// (arrivals come from per-tenant multi-flow sources, spread across
-    /// each tenant's queues via the flow director / RSS).
+    /// Tenant groups: every arrival comes from a tenant's multi-flow
+    /// source (or replayed trace), spread across the tenant's queues via
+    /// the flow director / RSS. Empty = one single-flow tenant per
+    /// workload, driven by that workload's own `traffic` (see
+    /// [`SystemConfig::arrival_tenants`]).
     pub tenants: Vec<TenantSpec>,
     /// Flow Director operating mode.
     pub steering: FlowSteering,
@@ -260,7 +262,6 @@ impl SystemConfig {
             invalidate_scope: InvalidateScope::IncludeLlc,
             workloads,
             antagonist: None,
-            trace_replays: std::collections::BTreeMap::new(),
             tenants: Vec::new(),
             steering: FlowSteering::default(),
             duration: SimTime::from_ms(10),
@@ -352,6 +353,33 @@ impl SystemConfig {
         h
     }
 
+    /// The tenants the system draws arrivals from: [`SystemConfig::tenants`]
+    /// when any are declared, otherwise one single-flow tenant per
+    /// workload on that workload's queue, with its traffic, frame size and
+    /// DSCP (workload `qi`'s flow targets UDP port `5000 + qi`).
+    pub fn arrival_tenants(&self) -> Cow<'_, [TenantSpec]> {
+        if !self.tenants.is_empty() {
+            return Cow::Borrowed(&self.tenants);
+        }
+        self.workloads
+            .iter()
+            .enumerate()
+            .map(|(qi, w)| TenantSpec {
+                name: format!("workload{qi}"),
+                workloads: vec![qi],
+                flows: 1,
+                base_port: 5000 + qi as u16,
+                churn: None,
+                train: 1,
+                traffic: w.traffic,
+                packet_len: w.packet_len,
+                dscp: w.dscp,
+                replay: None,
+                policy: None,
+            })
+            .collect()
+    }
+
     /// Validates cross-cutting constraints.
     ///
     /// # Errors
@@ -380,14 +408,7 @@ impl SystemConfig {
             if let Some(PoolSpec::Recycle { slots: Some(0) }) = w.pool {
                 return Err(format!("workload {i}: recycle pool with zero slots"));
             }
-        }
-        for (&idx, arrivals) in &self.trace_replays {
-            if idx >= self.workloads.len() {
-                return Err(format!("trace replay for nonexistent workload {idx}"));
-            }
-            if arrivals.windows(2).any(|w| w[0].at > w[1].at) {
-                return Err(format!("trace replay {idx} is not time-ordered"));
-            }
+            check_frame_fits(w.packet_len).map_err(|e| format!("workload {i}: {e}"))?;
         }
         for &q in self.queue_policies.keys() {
             if q >= self.workloads.len() {
@@ -435,7 +456,7 @@ impl SystemConfig {
         t.churn.is_some() || u32::from(t.base_port) + t.flows > 65536
     }
 
-    /// Tenant-mode invariants: every tenant owns at least one existing
+    /// Tenant invariants: every tenant owns at least one existing
     /// workload, no workload has two tenants, names are unique, flow
     /// counts fit the streaming `FlowSet`, and *narrow* tenants' synthetic
     /// flow port ranges do not collide (colliding ranges would make two
@@ -470,9 +491,14 @@ impl SystemConfig {
             if t.churn == Some(Duration::ZERO) {
                 return Err(format!("tenant '{}' has a zero flow lifetime", t.name));
             }
+            check_frame_fits(t.packet_len).map_err(|e| format!("tenant '{}': {e}", t.name))?;
             if let Some(arrivals) = &t.replay {
                 if arrivals.windows(2).any(|w| w[0].at > w[1].at) {
                     return Err(format!("tenant '{}' replay is not time-ordered", t.name));
+                }
+                for a in arrivals {
+                    check_frame_fits(a.packet.len)
+                        .map_err(|e| format!("tenant '{}' replay: {e}", t.name))?;
                 }
             } else {
                 if t.flows == 0 {
@@ -510,6 +536,22 @@ impl SystemConfig {
         }
         Ok(())
     }
+}
+
+/// Rejects frames the NIC cannot DMA into one RX buffer: a larger frame
+/// would run past its buffer slot into the neighbouring ones.
+///
+/// # Errors
+///
+/// Returns a message naming `packet_len` and the buffer size.
+pub fn check_frame_fits(packet_len: u16) -> Result<(), String> {
+    if u64::from(packet_len) > idio_nic::ring::DEFAULT_BUF_BYTES {
+        return Err(format!(
+            "packet_len {packet_len} exceeds the {}-byte DMA buffer",
+            idio_nic::ring::DEFAULT_BUF_BYTES
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -703,5 +745,37 @@ mod tests {
             },
         ]);
         reject(vec![unordered], "unordered replay");
+    }
+
+    #[test]
+    fn frames_larger_than_the_dma_buffer_are_rejected() {
+        let buf = idio_nic::ring::DEFAULT_BUF_BYTES as u16;
+        let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
+        cfg.workloads[1].packet_len = buf;
+        assert!(cfg.validate().is_ok(), "a frame filling its buffer fits");
+        cfg.workloads[1].packet_len = buf + 1;
+        let e = cfg.validate().unwrap_err();
+        assert!(e.contains("workload 1") && e.contains("DMA buffer"), "{e}");
+
+        let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
+        let mut big = tenant("big", vec![0, 1], 5000);
+        big.packet_len = 4096;
+        cfg.tenants = vec![big];
+        let e = cfg.validate().unwrap_err();
+        assert!(e.contains("tenant 'big'"), "{e}");
+
+        let mut replay = tenant("replay", vec![0, 1], 5000);
+        replay.replay = Some(vec![Arrival {
+            at: SimTime::ZERO,
+            packet: idio_net::packet::Packet::new(
+                0,
+                buf + 1,
+                idio_net::packet::FiveTuple::udp(1, 2, 3, 4),
+                Dscp::BEST_EFFORT,
+            ),
+        }]);
+        cfg.tenants = vec![replay];
+        let e = cfg.validate().unwrap_err();
+        assert!(e.contains("tenant 'replay' replay"), "{e}");
     }
 }

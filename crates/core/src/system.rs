@@ -21,7 +21,7 @@ use idio_engine::stats::{LatencyRecorder, RateSampler};
 use idio_engine::telemetry::{Histogram, MetricsRegistry, Tracer, DEFAULT_TRACE_CAPACITY};
 use idio_engine::time::{Duration, SimTime};
 use idio_mem::{DramModel, DramOp};
-use idio_net::gen::{Arrival, FlowSet, FlowSpec, MultiFlowGen, TrafficGen, TrafficPattern};
+use idio_net::gen::{Arrival, FlowSet, MultiFlowGen, TrafficPattern};
 use idio_net::packet::Packet;
 use idio_nic::flow_director::{QueueId, SteeringSource};
 use idio_nic::nic::{Nic, NicConfig, RingLayout};
@@ -151,11 +151,9 @@ struct DmaBatch {
     domain: u16,
 }
 
-/// A packet-arrival stream: analytic single-flow generator (legacy
-/// one-flow-per-workload wiring), multi-flow tenant generator, or trace
+/// A tenant's packet-arrival stream: multi-flow generator or trace
 /// replay.
 enum ArrivalSource {
-    Gen(Box<TrafficGen>),
     Multi(Box<MultiFlowGen>),
     Replay(std::vec::IntoIter<Arrival>),
 }
@@ -165,7 +163,6 @@ impl Iterator for ArrivalSource {
 
     fn next(&mut self) -> Option<Arrival> {
         match self {
-            ArrivalSource::Gen(g) => g.next(),
             ArrivalSource::Multi(g) => g.next(),
             ArrivalSource::Replay(it) => it.next(),
         }
@@ -192,7 +189,7 @@ struct FdTenant {
 /// wrong queue and therefore polluted the wrong core's caches.
 struct FdState {
     /// One entry per arrival source; `None` for replay tenants (their
-    /// flows are not derivable, so they keep the legacy pin-all path).
+    /// flows are not derivable, so every flow in the trace is pinned).
     tenants: Vec<Option<FdTenant>>,
     /// Per home queue: `[perfect, atr, collision, rss, mis_steered]`
     /// packet counts.
@@ -487,124 +484,82 @@ impl System {
         };
 
         // --- traffic generators & flow pinning --------------------------------
-        let mut gens = Vec::new();
-        let mut fd: Option<FdState> = None;
-        if cfg.tenants.is_empty() {
-            // Legacy wiring: one flow per workload, pinned to its queue.
-            for (qi, w) in cfg.workloads.iter().enumerate() {
-                if let Some(arrivals) = cfg.trace_replays.get(&qi) {
-                    // Replay: pin every flow appearing in the trace to this
-                    // workload's queue, and clip to the traffic horizon.
-                    let clipped: Vec<Arrival> = arrivals
-                        .iter()
-                        .copied()
-                        .take_while(|a| a.at < cfg.duration)
-                        .collect();
-                    if cfg.steering == FlowSteering::Perfect {
-                        let mut seen = std::collections::HashSet::new();
-                        for a in &clipped {
-                            if seen.insert(a.packet.flow) {
-                                nic.flow_director_mut()
-                                    .install_perfect(a.packet.flow, QueueId(qi as u16));
-                            }
-                        }
-                    }
-                    gens.push(ArrivalSource::Replay(clipped.into_iter()));
-                } else {
-                    let flow =
-                        FlowSpec::udp_to_port(5000 + qi as u16, w.packet_len).with_dscp(w.dscp);
-                    if cfg.steering == FlowSteering::Perfect {
-                        nic.flow_director_mut()
-                            .install_perfect(flow.tuple, QueueId(qi as u16));
-                    }
-                    gens.push(ArrivalSource::Gen(Box::new(TrafficGen::new(
-                        flow,
-                        w.traffic,
-                        cfg.duration,
-                    ))));
-                }
-            }
-        } else {
-            // Tenant wiring: one aggregate source per tenant, its flows
-            // spread round-robin over the tenant's queues via the flow
-            // director (or left to RSS/ATR learning). Flow populations
-            // stream from a `FlowSet` — five-tuples derived on demand, so
-            // memory stays O(1) at any flow count. Perfect-filter slots
-            // are a shared resource: each tenant may pin at most its
-            // equal share of the NIC's table, sampled evenly across its
-            // flow index space; the rest of its flows steer via ATR
-            // learning and RSS (Sec. II-C's capacity pressure).
-            let pin_budget = (cfg.perfect_filter_entries / cfg.tenants.len()).max(1);
-            let mut fd_tenants: Vec<Option<FdTenant>> = Vec::new();
-            let mut fd_active = false;
-            for (ti, t) in cfg.tenants.iter().enumerate() {
-                let queues: Vec<QueueId> =
-                    t.workloads.iter().map(|&wi| QueueId(wi as u16)).collect();
-                if let Some(arrivals) = &t.replay {
-                    let clipped: Vec<Arrival> = arrivals
-                        .iter()
-                        .copied()
-                        .take_while(|a| a.at < cfg.duration)
-                        .collect();
-                    if cfg.steering == FlowSteering::Perfect {
-                        // Pin first-seen flows round-robin across the
-                        // tenant's queues.
-                        let mut seen = std::collections::HashSet::new();
-                        let mut next = 0usize;
-                        for a in &clipped {
-                            if seen.insert(a.packet.flow) {
-                                nic.flow_director_mut()
-                                    .install_perfect(a.packet.flow, queues[next % queues.len()]);
-                                next += 1;
-                            }
-                        }
-                    }
-                    fd_tenants.push(None);
-                    gens.push(ArrivalSource::Replay(clipped.into_iter()));
-                } else {
-                    let mut set =
-                        FlowSet::new(ti as u16, t.flows, t.base_port, t.packet_len, t.dscp)
-                            .with_train(t.train);
-                    if let Some(life) = t.churn {
-                        set = set.with_churn(life);
-                    }
-                    let pins = (t.flows as usize).min(pin_budget) as u32;
-                    let mut pinned = Vec::with_capacity(pins as usize);
-                    if cfg.steering == FlowSteering::Perfect {
-                        for p in 0..u64::from(pins) {
-                            // Stride the pins across the whole index space
-                            // so perfect coverage interleaves with
-                            // ATR/RSS-steered flows instead of truncating
-                            // at the budget boundary.
-                            let slot = (p * u64::from(t.flows) / u64::from(pins)) as u32;
-                            let q = queues[slot as usize % queues.len()];
+        // One aggregate source per tenant, its flows spread round-robin
+        // over the tenant's queues via the flow director (or left to
+        // RSS/ATR learning). Flow populations stream from a `FlowSet` —
+        // five-tuples derived on demand, so memory stays O(1) at any flow
+        // count. Perfect-filter slots are a shared resource: each tenant
+        // may pin at most its equal share of the NIC's table, sampled
+        // evenly across its flow index space; the rest of its flows steer
+        // via ATR learning and RSS (Sec. II-C's capacity pressure).
+        let tenants = cfg.arrival_tenants();
+        let mut gens = Vec::with_capacity(tenants.len());
+        let pin_budget = (cfg.perfect_filter_entries / tenants.len().max(1)).max(1);
+        let mut fd_tenants: Vec<Option<FdTenant>> = Vec::new();
+        let mut fd_active = false;
+        for (ti, t) in tenants.iter().enumerate() {
+            let queues: Vec<QueueId> = t.workloads.iter().map(|&wi| QueueId(wi as u16)).collect();
+            if let Some(arrivals) = &t.replay {
+                let clipped: Vec<Arrival> = arrivals
+                    .iter()
+                    .copied()
+                    .take_while(|a| a.at < cfg.duration)
+                    .collect();
+                if cfg.steering == FlowSteering::Perfect {
+                    // Pin first-seen flows round-robin across the
+                    // tenant's queues.
+                    let mut seen = std::collections::HashSet::new();
+                    let mut next = 0usize;
+                    for a in &clipped {
+                        if seen.insert(a.packet.flow) {
                             nic.flow_director_mut()
-                                .install_perfect(set.tuple_of(slot), q);
-                            pinned.push((slot, slot));
+                                .install_perfect(a.packet.flow, queues[next % queues.len()]);
+                            next += 1;
                         }
                     }
-                    if set.is_wide() || t.flows as usize > pin_budget {
-                        fd_active = true;
-                    }
-                    fd_tenants.push(Some(FdTenant {
-                        set,
-                        queues,
-                        pinned,
-                    }));
-                    gens.push(ArrivalSource::Multi(Box::new(MultiFlowGen::streaming(
-                        set,
-                        t.traffic,
-                        cfg.duration,
-                    ))));
                 }
-            }
-            if fd_active {
-                fd = Some(FdState {
-                    tenants: fd_tenants,
-                    mix: vec![[0; 5]; cfg.workloads.len()],
-                });
+                fd_tenants.push(None);
+                gens.push(ArrivalSource::Replay(clipped.into_iter()));
+            } else {
+                let mut set = FlowSet::new(ti as u16, t.flows, t.base_port, t.packet_len, t.dscp)
+                    .with_train(t.train);
+                if let Some(life) = t.churn {
+                    set = set.with_churn(life);
+                }
+                let pins = (t.flows as usize).min(pin_budget) as u32;
+                let mut pinned = Vec::with_capacity(pins as usize);
+                if cfg.steering == FlowSteering::Perfect {
+                    for p in 0..u64::from(pins) {
+                        // Stride the pins across the whole index space
+                        // so perfect coverage interleaves with
+                        // ATR/RSS-steered flows instead of truncating
+                        // at the budget boundary.
+                        let slot = (p * u64::from(t.flows) / u64::from(pins)) as u32;
+                        let q = queues[slot as usize % queues.len()];
+                        nic.flow_director_mut()
+                            .install_perfect(set.tuple_of(slot), q);
+                        pinned.push((slot, slot));
+                    }
+                }
+                if set.is_wide() || t.flows as usize > pin_budget {
+                    fd_active = true;
+                }
+                fd_tenants.push(Some(FdTenant {
+                    set,
+                    queues,
+                    pinned,
+                }));
+                gens.push(ArrivalSource::Multi(Box::new(MultiFlowGen::streaming(
+                    set,
+                    t.traffic,
+                    cfg.duration,
+                ))));
             }
         }
+        let fd = fd_active.then(|| FdState {
+            tenants: fd_tenants,
+            mix: vec![[0; 5]; cfg.workloads.len()],
+        });
 
         // --- explicit mbuf pools ------------------------------------------------
         // RDCA sizing: a queue's pool budget is its equal share of the
@@ -2331,8 +2286,9 @@ mod tests {
     #[test]
     fn trace_replay_reproduces_generator_run() {
         use idio_net::gen::{FlowSpec, TrafficGen};
-        // Record what the generator would emit, then replay it: totals
-        // must be identical to the generator-driven run.
+        // Record what the generator would emit, then replay it as the
+        // workload's tenant: totals must be identical to the
+        // generator-driven run.
         let horizon = SimTime::from_us(400);
         let mk_cfg = || {
             let mut cfg =
@@ -2343,7 +2299,7 @@ mod tests {
         };
         let generated = System::new(mk_cfg()).run();
 
-        // The system builds workload 0's flow as udp_to_port(5000, len).
+        // Workload 0's derived tenant sends udp_to_port(5000, len).
         let trace: Vec<_> = TrafficGen::new(
             FlowSpec::udp_to_port(5000, 1514),
             TrafficPattern::Steady { rate_gbps: 10.0 },
@@ -2351,7 +2307,8 @@ mod tests {
         )
         .collect();
         let mut cfg = mk_cfg();
-        cfg.trace_replays.insert(0, trace);
+        cfg.tenants = cfg.arrival_tenants().into_owned();
+        cfg.tenants[0].replay = Some(trace);
         let replayed = System::new(cfg).run();
         assert_eq!(generated.totals, replayed.totals);
     }
@@ -2359,7 +2316,8 @@ mod tests {
     #[test]
     fn empty_trace_replay_is_harmless() {
         let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
-        cfg.trace_replays.insert(0, Vec::new());
+        cfg.tenants = cfg.arrival_tenants().into_owned();
+        cfg.tenants[0].replay = Some(Vec::new());
         let r = System::new(cfg).run();
         // Workload 0 sends nothing; workload 1 still flows.
         assert!(r.totals.rx_packets > 0);
@@ -2369,7 +2327,9 @@ mod tests {
     #[test]
     fn replay_for_unknown_workload_is_rejected() {
         let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
-        cfg.trace_replays.insert(7, Vec::new());
+        cfg.tenants = cfg.arrival_tenants().into_owned();
+        cfg.tenants[0].workloads = vec![7];
+        cfg.tenants[0].replay = Some(Vec::new());
         assert!(cfg.validate().is_err());
     }
 

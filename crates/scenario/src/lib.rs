@@ -16,9 +16,9 @@
 //!   asked of every tenant).
 //!
 //! Flows are spread across each tenant's cores via the flow director
-//! (perfect filters by default, RSS/ATR optionally) rather than the
-//! legacy one-flow-per-core wiring, and reports are byte-identical at any
-//! `--jobs` because every cell's seed derives from its stable label.
+//! (perfect filters by default, RSS/ATR optionally), and reports are
+//! byte-identical at any `--jobs` because every cell's seed derives from
+//! its stable label.
 //!
 //! Scenarios can also live in **files** — a dependency-free TOML subset
 //! parsed by [`spec_file`] with line/column errors and written back by

@@ -36,13 +36,16 @@ use std::path::Path;
 
 use idio_core::cache::config::HierarchyConfig;
 use idio_core::cache::set::WayMask;
-use idio_core::config::FlowSteering;
+use idio_core::config::{check_frame_fits, FlowSteering};
 use idio_core::net::gen::{BurstSpec, TrafficPattern, MAX_FLOW_SET_FLOWS};
 use idio_core::net::packet::{Dscp, MIN_FRAME_BYTES};
 use idio_core::net::trace::read_trace;
 use idio_core::policy::{CatMode, PolicyCaps, PolicySpec, PrefetchMode, SteeringPolicy};
 use idio_core::pool::PoolSpec;
 use idio_core::stack::nf::{ChainStage, NfChain, NfKind, MAX_CHAIN_STAGES};
+// TOML basic strings take exactly JSON's escapes, so string values are
+// rendered by the JSON writer.
+use idio_engine::json;
 use idio_engine::time::{wire_time, Duration, SimTime};
 
 use crate::gen::{AppClass, GenSpec, RateDist};
@@ -1105,7 +1108,7 @@ fn tenant_slo(t: &Table) -> Result<Option<SloSpec>, SpecError> {
 
 fn build_tenant(
     t: &Table,
-    base_dir: Option<&Path>,
+    read_trace_file: &TraceReader<'_>,
     default_policy: SteeringPolicy,
 ) -> Result<TenantDef, SpecError> {
     check_known_keys(t, TENANT_KEYS)?;
@@ -1198,6 +1201,7 @@ fn build_tenant(
             format!("packet_len {packet_len} below the Ethernet minimum ({MIN_FRAME_BYTES})"),
         ));
     }
+    check_frame_fits(packet_len).map_err(|msg| SpecError::new(packet_len_entry.val_pos, msg))?;
     let dscp = match t.get("dscp") {
         Some(e) => {
             let v = want_uint(e, 255, "dscp")? as u8;
@@ -1251,23 +1255,11 @@ fn build_tenant(
     let replay = match t.get("replay") {
         Some(e) => {
             let rel = want_str(e)?;
-            let Some(dir) = base_dir else {
-                return Err(SpecError::new(
-                    e.val_pos,
-                    "replay traces need a file context (load the scenario from a path)",
-                ));
-            };
-            let path = dir.join(rel);
-            let bytes = std::fs::read(&path).map_err(|err| {
-                SpecError::new(
-                    e.val_pos,
-                    format!("cannot read replay trace '{}': {err}", path.display()),
-                )
-            })?;
+            let bytes = read_trace_file(rel).map_err(|msg| SpecError::new(e.val_pos, msg))?;
             let arrivals = read_trace(bytes.as_slice()).map_err(|err| {
                 SpecError::new(
                     e.val_pos,
-                    format!("replay trace '{}' is malformed: {err}", path.display()),
+                    format!("replay trace '{rel}' is malformed: {err}"),
                 )
             })?;
             Some(arrivals)
@@ -1415,7 +1407,7 @@ fn build_generate(g: &Table) -> Result<GenSpec, SpecError> {
     Ok(spec)
 }
 
-fn build_scenario(raw: &RawFile, base_dir: Option<&Path>) -> Result<Scenario, SpecError> {
+fn build_scenario(raw: &RawFile, read_trace_file: &TraceReader<'_>) -> Result<Scenario, SpecError> {
     check_known_keys(&raw.top, TOP_KEYS)?;
     let name_entry = raw
         .top
@@ -1522,7 +1514,7 @@ fn build_scenario(raw: &RawFile, base_dir: Option<&Path>) -> Result<Scenario, Sp
         (None, false) => {
             let mut seen: Vec<(String, Pos)> = Vec::new();
             for t in &raw.tenants {
-                let tenant = build_tenant(t, base_dir, scenario.policy)?;
+                let tenant = build_tenant(t, read_trace_file, scenario.policy)?;
                 let name_pos = t.get("name").expect("required by build_tenant").val_pos;
                 if let Some((_, first)) = seen.iter().find(|(n, _)| *n == tenant.name) {
                     return Err(SpecError::new(
@@ -1545,6 +1537,19 @@ fn build_scenario(raw: &RawFile, base_dir: Option<&Path>) -> Result<Scenario, Sp
 // Public API.
 // ---------------------------------------------------------------------
 
+/// Resolves a tenant's `replay` path to the trace's bytes. An error
+/// message is reported at the position of the `replay` value.
+pub(crate) type TraceReader<'a> = dyn Fn(&str) -> Result<Vec<u8>, String> + 'a;
+
+/// Parses a scenario from source text, reading `replay` traces through
+/// `read_trace_file`.
+pub(crate) fn parse_with_traces(
+    src: &str,
+    read_trace_file: &TraceReader<'_>,
+) -> Result<Scenario, SpecError> {
+    build_scenario(&lex(src)?, read_trace_file)
+}
+
 /// Parses a scenario from source text.
 ///
 /// A `[generate]` section is expanded into its full tenant list (see
@@ -1557,7 +1562,9 @@ fn build_scenario(raw: &RawFile, base_dir: Option<&Path>) -> Result<Scenario, Sp
 /// Returns a [`SpecError`] naming the line and column of the first
 /// offending token.
 pub fn parse_str(src: &str) -> Result<Scenario, SpecError> {
-    build_scenario(&lex(src)?, None)
+    parse_with_traces(src, &|_| {
+        Err("replay traces need a file context (load the scenario from a path)".into())
+    })
 }
 
 /// Reads and parses a scenario file, resolving `replay` trace paths
@@ -1581,7 +1588,11 @@ pub fn load_path(path: impl AsRef<Path>) -> Result<Scenario, SpecError> {
             return Err(SpecError::new((line, col), "file is not valid UTF-8"));
         }
     };
-    build_scenario(&lex(&src)?, path.parent())
+    parse_with_traces(&src, &|rel| {
+        let trace = path.with_file_name(rel);
+        std::fs::read(&trace)
+            .map_err(|err| format!("cannot read replay trace '{}': {err}", trace.display()))
+    })
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -1591,24 +1602,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{s}.0")
     }
-}
-
-fn fmt_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders a time key in the coarsest unit that loses nothing: `_ns` when
@@ -1634,18 +1627,18 @@ pub fn to_file_string(scenario: &Scenario) -> String {
     let mut out = String::new();
     let w = &mut out;
     let _ = writeln!(w, "# idio-scenario file (TOML subset; see DESIGN.md)");
-    let _ = writeln!(w, "name = {}", fmt_str(&scenario.name));
-    let _ = writeln!(w, "description = {}", fmt_str(&scenario.description));
+    let _ = writeln!(w, "name = {}", json::string(&scenario.name));
+    let _ = writeln!(w, "description = {}", json::string(&scenario.description));
     let _ = writeln!(
         w,
         "policy = {}",
-        fmt_str(&policy_file_name(PolicySpec::Preset(scenario.policy)))
+        json::string(&policy_file_name(PolicySpec::Preset(scenario.policy)))
     );
     let steering = match scenario.steering {
         FlowSteering::Perfect => "perfect",
         FlowSteering::Atr => "atr",
     };
-    let _ = writeln!(w, "steering = {}", fmt_str(steering));
+    let _ = writeln!(w, "steering = {}", json::string(steering));
     fmt_time(w, "duration", scenario.duration.as_ps());
     fmt_time(w, "drain_grace", scenario.drain_grace.as_ps());
     if let Some(v) = scenario.perfect_filters {
@@ -1660,18 +1653,19 @@ pub fn to_file_string(scenario: &Scenario) -> String {
     for t in &scenario.tenants {
         let _ = writeln!(w);
         let _ = writeln!(w, "[[tenant]]");
-        let _ = writeln!(w, "name = {}", fmt_str(&t.name));
+        let _ = writeln!(w, "name = {}", json::string(&t.name));
         match t.nf {
             NfKind::Chain(c) => {
-                let stages: Vec<String> = c.stages().iter().map(|s| fmt_str(s.name())).collect();
+                let stages: Vec<String> =
+                    c.stages().iter().map(|s| json::string(s.name())).collect();
                 let _ = writeln!(w, "chain = [{}]", stages.join(", "));
             }
             other => {
-                let _ = writeln!(w, "nf = {}", fmt_str(nf_file_name(other)));
+                let _ = writeln!(w, "nf = {}", json::string(nf_file_name(other)));
             }
         }
         if let Some(pool) = t.pool {
-            let _ = writeln!(w, "pool = {}", fmt_str(&pool.file_name()));
+            let _ = writeln!(w, "pool = {}", json::string(&pool.file_name()));
         }
         let cores: Vec<String> = t.cores.iter().map(|c| c.to_string()).collect();
         let _ = writeln!(w, "cores = [{}]", cores.join(", "));
@@ -1703,7 +1697,7 @@ pub fn to_file_string(scenario: &Scenario) -> String {
             }
         }
         if let Some(p) = t.policy {
-            let _ = writeln!(w, "policy = {}", fmt_str(&policy_file_name(p)));
+            let _ = writeln!(w, "policy = {}", json::string(&policy_file_name(p)));
         }
         if let Some(slo) = t.slo {
             if let Some(v) = slo.max_p99_ns {
@@ -1717,7 +1711,7 @@ pub fn to_file_string(scenario: &Scenario) -> String {
             let _ = writeln!(
                 w,
                 "replay = {}",
-                fmt_str(&format!("traces/{}.trace", t.name))
+                json::string(&format!("traces/{}.trace", t.name))
             );
         }
     }

@@ -43,16 +43,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         replayed.len()
     );
 
-    // 3. Replay the identical traffic under both policies.
+    // 3. Replay the identical traffic under both policies: each workload
+    //    is a one-queue tenant replaying its recorded arrivals.
     for policy in [SteeringPolicy::Ddio, SteeringPolicy::Idio] {
         let mut cfg = SystemConfig::touchdrop_scenario(
             2,
-            TrafficPattern::Steady { rate_gbps: 15.0 }, // overridden below
+            TrafficPattern::Steady { rate_gbps: 15.0 }, // replaced by the replays
         );
         cfg.duration = horizon;
         cfg.drain_grace = Duration::from_ms(2);
-        cfg.trace_replays.insert(0, replayed.clone());
-        cfg.trace_replays.insert(1, traces[1].clone());
+        cfg.tenants = cfg.arrival_tenants().into_owned();
+        for (tenant, arrivals) in cfg.tenants.iter_mut().zip([&replayed, &traces[1]]) {
+            tenant.replay = Some(arrivals.clone());
+        }
         let report = System::new(cfg.with_policy(policy)).run();
         println!(
             "[{policy}] completed {} / {} packets, mlc_wb {}, llc_wb {}, p99 {}",

@@ -2,11 +2,13 @@
 //! conservation, hierarchy invariants under load, and policy behaviour
 //! contracts.
 
-use idio_core::config::SystemConfig;
-use idio_core::net::gen::{BurstSpec, TrafficPattern};
+use idio_core::config::{SystemConfig, TenantSpec};
+use idio_core::experiments::{self, Scale};
+use idio_core::net::gen::{BurstSpec, FlowSpec, TrafficGen, TrafficPattern};
 use idio_core::policy::SteeringPolicy;
 use idio_core::report::RunReport;
 use idio_core::stack::nf::NfKind;
+use idio_core::sweep::{run_cells_map, SweepCell, SweepOptions};
 use idio_core::system::System;
 use idio_engine::time::{Duration, SimTime};
 
@@ -172,5 +174,89 @@ fn steady_and_bursty_mlc_wb_rates_match_for_ddio() {
     assert!(
         (per_pkt_steady - per_pkt_burst).abs() < 10.0,
         "steady {per_pkt_steady:.1} vs bursty {per_pkt_burst:.1}"
+    );
+}
+
+/// Re-expresses a workloads-only config as explicit tenants: one
+/// single-flow tenant per workload, on that workload's queue, with its
+/// traffic, frame size and DSCP (workload `qi`'s flow targets UDP port
+/// `5000 + qi`).
+fn as_single_flow_tenants(mut cfg: SystemConfig) -> SystemConfig {
+    cfg.tenants = cfg
+        .workloads
+        .iter()
+        .enumerate()
+        .map(|(qi, w)| TenantSpec {
+            name: format!("w{qi}"),
+            workloads: vec![qi],
+            flows: 1,
+            base_port: 5000 + qi as u16,
+            churn: None,
+            train: 1,
+            traffic: w.traffic,
+            packet_len: w.packet_len,
+            dscp: w.dscp,
+            replay: None,
+            policy: None,
+        })
+        .collect();
+    cfg
+}
+
+/// Runs `a` and `b` cell-by-cell (each cell seeded from its label, as
+/// every sweep is) and asserts each pair of reports renders identically.
+fn assert_same_reports(a: Vec<SweepCell>, b: Vec<SweepCell>) {
+    let opts = SweepOptions {
+        jobs: 2,
+        ..SweepOptions::default()
+    };
+    let render = |cells| run_cells_map(cells, &opts, |_, o| (o.label, format!("{:?}", o.report)));
+    for (x, y) in render(a).into_iter().zip(render(b)) {
+        assert_eq!(x.0, y.0);
+        assert!(x.1 == y.1, "{}: reports diverged", x.0);
+    }
+}
+
+/// A workloads-only config and the same config spelled as explicit
+/// single-flow tenants are one wiring: every quick-suite cell, plus an
+/// antagonist-only config, gives an identical `RunReport`.
+#[test]
+fn workloads_only_configs_equal_single_flow_tenants() {
+    let mut cells: Vec<SweepCell> = experiments::all_specs(Scale::quick())
+        .into_iter()
+        .flat_map(|spec| spec.cells)
+        .collect();
+    let mut antagonist_only =
+        SystemConfig::touchdrop_scenario(0, TrafficPattern::Steady { rate_gbps: 1.0 })
+            .with_antagonist();
+    antagonist_only.duration = SimTime::from_us(200);
+    antagonist_only.drain_grace = Duration::from_us(100);
+    cells.push(SweepCell::new("antagonist-only", antagonist_only));
+    assert!(cells.len() > 90, "the whole quick suite is covered");
+    let tenants = cells
+        .iter()
+        .map(|c| SweepCell::new(c.label.clone(), as_single_flow_tenants(c.cfg.clone())))
+        .collect();
+    assert_same_reports(cells, tenants);
+}
+
+/// A tenant replaying the arrivals its generator would emit reproduces
+/// the generator-driven run exactly.
+#[test]
+fn tenant_replay_reproduces_the_generator_run() {
+    let traffic = TrafficPattern::Poisson {
+        rate_gbps: 10.0,
+        seed: 0x7ACE,
+    };
+    let mut cfg = SystemConfig::touchdrop_scenario(2, traffic);
+    cfg.duration = SimTime::from_us(400);
+    cfg.drain_grace = Duration::from_us(200);
+    let recorded: Vec<_> =
+        TrafficGen::new(FlowSpec::udp_to_port(5000, 1514), traffic, cfg.duration).collect();
+    let mut replayed = as_single_flow_tenants(cfg.clone());
+    replayed.tenants[0].replay = Some(recorded);
+    assert_same_reports(
+        vec![SweepCell::new("replay", cfg)],
+        vec![SweepCell::new("replay", replayed)],
     );
 }

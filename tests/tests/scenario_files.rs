@@ -1,15 +1,12 @@
 //! Scenario-file integration tests: the checked-in examples, the bad-file
 //! corpus, and generator determinism.
 //!
-//! * Every built-in scenario ships as `examples/scenarios/<name>.toml`
-//!   (plus sidecar traces under `traces/`); the files must stay the exact
-//!   canonical rendering of the built-in, and loading them back must
-//!   reproduce the built-in *struct* — and therefore its byte-identical
-//!   golden report. Re-generate after intentional built-in changes with:
-//!
-//!   ```text
-//!   IDIO_BLESS=1 cargo test -p idio-integration-tests --test scenario_files
-//!   ```
+//! * Every built-in scenario *is* `examples/scenarios/<name>.toml` (plus
+//!   sidecar traces under `traces/`), compiled into the `scenario` binary.
+//!   The files must stay in canonical form, and loading one from disk
+//!   must reproduce the built-in *struct* — and therefore its
+//!   byte-identical golden report. The files are edited by hand; only
+//!   the goldens are re-blessed.
 //!
 //! * `tests/scenario_files/bad/` holds deliberately broken files; each
 //!   must fail with an error naming the offending line and column.
@@ -20,7 +17,6 @@
 
 use std::path::PathBuf;
 
-use idio_core::net::trace::write_trace;
 use idio_core::sweep::SweepOptions;
 use idio_scenario::{builtin, builtins, load_path, run_scenario, to_file_string};
 
@@ -50,21 +46,6 @@ fn example_files_are_the_canonical_rendering_of_the_builtins() {
     for scenario in builtins() {
         let path = dir.join(format!("{}.toml", scenario.name));
         let rendered = to_file_string(&scenario);
-        if blessing() {
-            std::fs::create_dir_all(&dir).expect("create examples dir");
-            std::fs::write(&path, &rendered).expect("write example");
-            for t in &scenario.tenants {
-                if let Some(arrivals) = &t.replay {
-                    let tdir = dir.join("traces");
-                    std::fs::create_dir_all(&tdir).expect("create traces dir");
-                    let mut buf = Vec::new();
-                    write_trace(&mut buf, arrivals).expect("render trace");
-                    std::fs::write(tdir.join(format!("{}.trace", t.name)), buf)
-                        .expect("write trace");
-                }
-            }
-            continue;
-        }
         match std::fs::read_to_string(&path) {
             Ok(on_disk) if on_disk == rendered => {}
             Ok(_) => failures.push(format!(
@@ -89,7 +70,7 @@ fn example_files_are_the_canonical_rendering_of_the_builtins() {
     }
     assert!(
         failures.is_empty(),
-        "example scenario files diverged (IDIO_BLESS=1 re-blesses after intentional changes):\n{}",
+        "example scenario files diverged:\n{}",
         failures.join("\n")
     );
 }
@@ -233,6 +214,12 @@ fn bad_corpus_errors_name_line_and_column() {
             "flows 16777217 out of range (0..=16777216)",
         ),
         ("bad-churn.toml", 13, 12, "churn must be positive"),
+        (
+            "bad-packet-len.toml",
+            12,
+            14,
+            "packet_len 4096 exceeds the 2048-byte DMA buffer",
+        ),
     ];
     let dir = bad_dir();
     for (file, line, col, needle) in cases {
