@@ -277,12 +277,13 @@ fn main() -> ExitCode {
 
     let period = Duration::from_ms(5);
     let traffic = if args.bursty {
-        TrafficPattern::Bursty(BurstSpec::for_ring(
-            args.ring,
-            args.packet,
-            args.rate_gbps,
-            period,
-        ))
+        match BurstSpec::try_for_ring(args.ring, args.packet, args.rate_gbps, period) {
+            Ok(spec) => TrafficPattern::Bursty(spec),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
     } else if args.poisson {
         TrafficPattern::Poisson {
             rate_gbps: args.rate_gbps,
@@ -318,7 +319,13 @@ fn main() -> ExitCode {
         cfg.workloads[q].pool = Some(pool);
     }
     if let Some(thr) = args.mlc_thr_mtps {
-        cfg.idio = cfg.idio.with_mlc_thr_mtps(thr);
+        cfg.idio = match cfg.idio.try_with_mlc_thr_mtps(thr) {
+            Ok(idio) => idio,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
     }
     cfg.trace = args.trace.clone();
     cfg.tick_metrics = args.tick_metrics;

@@ -1,16 +1,20 @@
 //! # idio-bench
 //!
-//! Benchmark harness for the IDIO reproduction. Two entry points:
+//! Front ends of the IDIO reproduction. The paper's figure suite is
+//! declared once, here: [`EXPERIMENTS`] names every table and figure in
+//! paper order and [`experiment_spec`] resolves a name to its
+//! declarative sweep. Every consumer — the `repro` binary, the `bench`
+//! timing harness ([`micro`]), the golden and determinism tests — runs
+//! those specs through [`idio_core::sweep::run_figures_detailed`].
 //!
-//! * the **`repro` binary** (`cargo run -p idio-bench --release --bin
-//!   repro -- [fig...]`) regenerates every table and figure of the paper's
-//!   evaluation and prints them;
-//! * the **micro benches** (`cargo bench`, [`micro`]) run one scaled-down
-//!   experiment per figure so regressions in simulator behaviour or speed
-//!   are caught continuously.
+//! * `repro` regenerates the paper's tables and figures;
+//! * `simulate` runs one custom configuration;
+//! * `scenario` runs multi-tenant scenario files;
+//! * `bench` times the simulator's layers and the quick figure suite
+//!   into `BENCH_engine.json`.
 //!
-//! The actual experiment drivers live in [`idio_core::experiments`]; this
-//! crate only selects, times, and prints them.
+//! The figure drivers themselves live in [`idio_core::experiments`]; this
+//! crate only selects, runs, times and prints them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +22,7 @@
 pub mod json;
 pub mod micro;
 
-use idio_core::experiments::{self, FigureResult, Scale};
+use idio_core::experiments::{self, Scale};
 use idio_core::sweep::FigureSpec;
 
 /// Known experiment names, in paper order.
@@ -70,25 +74,30 @@ pub fn experiment_spec(name: &str, scale: Scale) -> Result<FigureSpec, String> {
     })
 }
 
-/// Runs one experiment by name, serially.
-///
-/// # Errors
-///
-/// Returns the unknown name back to the caller.
-pub fn run_experiment(name: &str, scale: Scale) -> Result<FigureResult, String> {
-    Ok(experiment_spec(name, scale)?.run_serial())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_names_resolve() {
-        // Only the cheap table experiments actually run here; the rest are
-        // validated by the integration suite and the repro binary.
-        assert!(run_experiment("table1", Scale::quick()).is_ok());
-        assert!(run_experiment("table2", Scale::quick()).is_ok());
-        assert!(run_experiment("nope", Scale::quick()).is_err());
+        for name in EXPERIMENTS {
+            let spec = experiment_spec(name, Scale::quick()).expect("known name");
+            assert_eq!(spec.id.replace('_', "-"), name);
+        }
+        assert!(experiment_spec("nope", Scale::quick()).is_err());
+    }
+
+    #[test]
+    fn specs_declare_unique_labels_across_the_suite() {
+        let mut labels = Vec::new();
+        for name in EXPERIMENTS {
+            let spec = experiment_spec(name, Scale::quick()).expect("known name");
+            labels.extend(spec.cells.into_iter().map(|c| c.label));
+        }
+        let total = labels.len();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), total, "duplicate cell label across figures");
+        assert!(total >= 50, "the suite declares a substantial cell pool");
     }
 }

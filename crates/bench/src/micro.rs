@@ -1,82 +1,12 @@
-//! A minimal micro-benchmark harness for `harness = false` benches.
-//!
-//! The build environment has no crates.io access, so the benches cannot
-//! link Criterion. This harness keeps the same shape — named benchmarks,
-//! `cargo bench [filter]` selection — with adaptive iteration counts and a
-//! compact mean/min/max report.
+//! The workspace's timing harness: the `bench` binary times each
+//! workload with [`measure`] and records the results as labelled
+//! [`Snapshot`]s in a `BENCH_*.json` file ([`render_bench_file`],
+//! [`append_snapshot`]); `bench --check` reads the newest baseline back
+//! with [`last_entry_median`].
 
 use std::time::{Duration, Instant};
 
-/// Runs named benchmarks selected by command-line filters.
-///
-/// Bare command-line arguments are treated as substring filters on the
-/// benchmark name; `--`-prefixed flags (which `cargo bench` forwards, e.g.
-/// `--bench`) are ignored.
-pub struct Micro {
-    filters: Vec<String>,
-    /// Target measurement budget per benchmark.
-    budget: Duration,
-    ran: usize,
-}
-
-impl Micro {
-    /// Builds the harness from `std::env::args`.
-    pub fn from_args() -> Self {
-        let filters = std::env::args()
-            .skip(1)
-            .filter(|a| !a.starts_with("--"))
-            .collect();
-        Micro {
-            filters,
-            budget: Duration::from_millis(400),
-            ran: 0,
-        }
-    }
-
-    fn selected(&self, name: &str) -> bool {
-        self.filters.is_empty() || self.filters.iter().any(|f| name.contains(f.as_str()))
-    }
-
-    /// Runs one benchmark: a warm-up call sizes the iteration count to the
-    /// measurement budget, then timed iterations report mean/min/max.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        if !self.selected(name) {
-            return;
-        }
-        // Warm-up + sizing.
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        let once = t0.elapsed().max(Duration::from_nanos(1));
-        let iters = (self.budget.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u32;
-
-        let mut min = Duration::MAX;
-        let mut max = Duration::ZERO;
-        let mut total = Duration::ZERO;
-        for _ in 0..iters {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            let dt = t.elapsed();
-            min = min.min(dt);
-            max = max.max(dt);
-            total += dt;
-        }
-        let mean = total / iters;
-        println!(
-            "{name:<40} mean {mean:>12.3?}  min {min:>12.3?}  max {max:>12.3?}  ({iters} iters)"
-        );
-        self.ran += 1;
-    }
-
-    /// Prints the summary footer; call once after all benchmarks.
-    pub fn finish(self) {
-        if self.ran == 0 {
-            println!(
-                "no benchmarks matched filter(s): {}",
-                self.filters.join(", ")
-            );
-        }
-    }
-}
+use idio_engine::json;
 
 /// Schema tag written into every `BENCH_*.json` file.
 pub const BENCH_SCHEMA: &str = "idio-bench/1";
@@ -109,8 +39,8 @@ impl RunStats {
     /// One-line JSON object (fixed key order, 3 decimal places).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"name\": \"{}\", \"runs\": {}, \"median_ms\": {:.3}, \"p90_ms\": {:.3}, \"min_ms\": {:.3}}}",
-            self.name, self.runs, self.median_ms, self.p90_ms, self.min_ms
+            "{{\"name\": {}, \"runs\": {}, \"median_ms\": {:.3}, \"p90_ms\": {:.3}, \"min_ms\": {:.3}}}",
+            json::string(&self.name), self.runs, self.median_ms, self.p90_ms, self.min_ms
         )
     }
 }
@@ -155,8 +85,8 @@ impl Snapshot {
             .map(|e| format!("        {}", e.to_json()))
             .collect();
         format!(
-            "    {{\n      \"label\": \"{}\",\n      \"entries\": [\n{}\n      ]\n    }}",
-            self.label.replace('\\', "\\\\").replace('"', "\\\""),
+            "    {{\n      \"label\": {},\n      \"entries\": [\n{}\n      ]\n    }}",
+            json::string(&self.label),
             entries.join(",\n")
         )
     }
@@ -214,27 +144,6 @@ pub fn last_entry_median(doc: &str, name: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn filters_select_by_substring() {
-        let m = Micro {
-            filters: vec!["fig4".into()],
-            budget: Duration::from_millis(1),
-            ran: 0,
-        };
-        assert!(m.selected("fig4_steady"));
-        assert!(!m.selected("fig5_burst"));
-    }
-
-    #[test]
-    fn empty_filter_selects_everything() {
-        let m = Micro {
-            filters: Vec::new(),
-            budget: Duration::from_millis(1),
-            ran: 0,
-        };
-        assert!(m.selected("anything"));
-    }
 
     #[test]
     fn nearest_rank_matches_hand_cases() {
@@ -299,5 +208,43 @@ mod tests {
         assert_eq!(last_entry_median(&doc, "w"), Some(42.5));
         assert_eq!(last_entry_median(&doc, "missing"), None);
         assert_eq!(last_entry_median("not a bench file", "w"), None);
+    }
+
+    #[test]
+    fn appended_labels_are_escaped_and_round_trip() {
+        let label = "a\nb\t\"c\"";
+        let doc = render_bench_file("engine", &[snap("pre")]);
+        let merged = append_snapshot(Some(&doc), "engine", &snap(label));
+        // The escaped label stays on its own line: no raw control
+        // character or bare quote leaks into the document.
+        let line = merged
+            .lines()
+            .rev()
+            .find(|l| l.trim_start().starts_with("\"label\": "))
+            .expect("appended label line");
+        let value = line
+            .trim()
+            .strip_prefix("\"label\": ")
+            .and_then(|v| v.strip_suffix(','))
+            .expect("label value");
+        assert_eq!(value, r#""a\nb\t\"c\"""#);
+        // Undo the JSON escapes and recover the original label.
+        let inner = &value[1..value.len() - 1];
+        let mut decoded = String::new();
+        let mut chars = inner.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                decoded.push(c);
+                continue;
+            }
+            decoded.push(match chars.next() {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                Some(other) => other,
+                None => panic!("dangling escape in {value}"),
+            });
+        }
+        assert_eq!(decoded, label);
+        assert!(merged.ends_with(BENCH_TAIL));
     }
 }

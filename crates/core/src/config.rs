@@ -9,7 +9,7 @@ use idio_engine::telemetry::TraceFilter;
 use idio_engine::time::{Duration, SimTime};
 use idio_mem::DramConfig;
 use idio_net::gen::{Arrival, TrafficPattern};
-use idio_net::packet::Dscp;
+use idio_net::packet::{Dscp, MIN_FRAME_BYTES};
 use idio_nic::classifier::ClassifierConfig;
 use idio_nic::dma::DmaConfig;
 use idio_pool::PoolSpec;
@@ -385,7 +385,8 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns a message when cores are double-booked, a workload core
-    /// collides with the antagonist, or a nested config is invalid.
+    /// collides with the antagonist, a frame length or traffic pattern is
+    /// unusable, or a nested config is invalid.
     pub fn validate(&self) -> Result<(), String> {
         if self.workloads.is_empty() && self.antagonist.is_none() {
             return Err("no workload configured".into());
@@ -409,6 +410,9 @@ impl SystemConfig {
                 return Err(format!("workload {i}: recycle pool with zero slots"));
             }
             check_frame_fits(w.packet_len).map_err(|e| format!("workload {i}: {e}"))?;
+            w.traffic
+                .check()
+                .map_err(|e| format!("workload {i}: {e}"))?;
         }
         for &q in self.queue_policies.keys() {
             if q >= self.workloads.len() {
@@ -501,6 +505,9 @@ impl SystemConfig {
                         .map_err(|e| format!("tenant '{}' replay: {e}", t.name))?;
                 }
             } else {
+                t.traffic
+                    .check()
+                    .map_err(|e| format!("tenant '{}': {e}", t.name))?;
                 if t.flows == 0 {
                     return Err(format!("tenant '{}' has zero flows", t.name));
                 }
@@ -538,13 +545,19 @@ impl SystemConfig {
     }
 }
 
-/// Rejects frames the NIC cannot DMA into one RX buffer: a larger frame
-/// would run past its buffer slot into the neighbouring ones.
+/// Rejects frame lengths the NIC cannot receive: below the Ethernet
+/// minimum, or larger than one RX buffer (such a frame would run past its
+/// buffer slot into the neighbouring ones).
 ///
 /// # Errors
 ///
-/// Returns a message naming `packet_len` and the buffer size.
+/// Returns a message naming `packet_len` and the violated bound.
 pub fn check_frame_fits(packet_len: u16) -> Result<(), String> {
+    if packet_len < MIN_FRAME_BYTES {
+        return Err(format!(
+            "packet_len {packet_len} below the Ethernet minimum ({MIN_FRAME_BYTES})"
+        ));
+    }
     if u64::from(packet_len) > idio_nic::ring::DEFAULT_BUF_BYTES {
         return Err(format!(
             "packet_len {packet_len} exceeds the {}-byte DMA buffer",
@@ -756,6 +769,14 @@ mod tests {
         cfg.workloads[1].packet_len = buf + 1;
         let e = cfg.validate().unwrap_err();
         assert!(e.contains("workload 1") && e.contains("DMA buffer"), "{e}");
+        cfg.workloads[1].packet_len = MIN_FRAME_BYTES;
+        assert!(cfg.validate().is_ok(), "a minimum-size frame fits");
+        cfg.workloads[1].packet_len = MIN_FRAME_BYTES - 1;
+        let e = cfg.validate().unwrap_err();
+        assert!(
+            e.contains("workload 1") && e.contains("below the Ethernet minimum"),
+            "{e}"
+        );
 
         let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
         let mut big = tenant("big", vec![0, 1], 5000);
@@ -777,5 +798,32 @@ mod tests {
         cfg.tenants = vec![replay];
         let e = cfg.validate().unwrap_err();
         assert!(e.contains("tenant 'replay' replay"), "{e}");
+    }
+
+    #[test]
+    fn unusable_traffic_is_rejected() {
+        for rate_gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = SystemConfig::touchdrop_scenario(2, TrafficPattern::Steady { rate_gbps });
+            let e = cfg.validate().unwrap_err();
+            assert!(
+                e.contains("workload 0") && e.contains("finite and positive"),
+                "{e}"
+            );
+
+            let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
+            let mut t = tenant("t", vec![0, 1], 5000);
+            t.traffic = TrafficPattern::Poisson { rate_gbps, seed: 1 };
+            cfg.tenants = vec![t];
+            let e = cfg.validate().unwrap_err();
+            assert!(
+                e.contains("tenant 't'") && e.contains("finite and positive"),
+                "{e}"
+            );
+        }
+        let mut spec = BurstSpec::for_ring(1024, 1514, 100.0, Duration::from_ms(10));
+        spec.period = spec.intra_gap * 1024;
+        let cfg = SystemConfig::touchdrop_scenario(2, TrafficPattern::Bursty(spec));
+        let e = cfg.validate().unwrap_err();
+        assert!(e.contains("does not fit"), "{e}");
     }
 }

@@ -55,15 +55,26 @@ impl IdioConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `mtps` is not finite and strictly positive.
-    pub fn with_mlc_thr_mtps(mut self, mtps: f64) -> Self {
-        assert!(
-            mtps.is_finite() && mtps > 0.0,
-            "mlcTHR rate must be finite and positive, got {mtps}"
-        );
+    /// Panics where [`IdioConfig::try_with_mlc_thr_mtps`] returns an error.
+    pub fn with_mlc_thr_mtps(self, mtps: f64) -> Self {
+        self.try_with_mlc_thr_mtps(mtps)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`IdioConfig::with_mlc_thr_mtps`] for untrusted rates.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `mtps` is not finite and strictly positive.
+    pub fn try_with_mlc_thr_mtps(mut self, mtps: f64) -> Result<Self, String> {
+        if !(mtps.is_finite() && mtps > 0.0) {
+            return Err(format!(
+                "mlcTHR rate must be finite and positive, got {mtps}"
+            ));
+        }
         self.mlc_thr_mtps_milli = Some(((mtps * 1e3).round() as u64).max(1));
         self.mlc_thr = self.effective_mlc_thr();
-        self
+        Ok(self)
     }
 
     /// Sets the control interval, rescaling `mlc_thr` when it was derived

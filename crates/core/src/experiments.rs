@@ -10,13 +10,16 @@
 //! output is independent of scheduling; `spec.run_serial()` runs one
 //! figure on the calling thread.
 //!
+//! This module declares the figures but does not list them: the suite's
+//! one registry (names, paper order) is `idio_bench::EXPERIMENTS` with
+//! `idio_bench::experiment_spec`.
+//!
 //! Every function takes a [`Scale`]: [`Scale::full`] approximates the
 //! paper's run lengths, [`Scale::quick`] shrinks them for CI and unit
 //! tests while preserving the qualitative shapes.
 
 use std::fmt;
 
-use idio_cache::addr::CoreId;
 use idio_cache::set::WayMask;
 use idio_engine::stats::TimeSeries;
 use idio_engine::time::{Duration, SimTime};
@@ -24,10 +27,10 @@ use idio_net::gen::{BurstSpec, TrafficPattern};
 use idio_net::packet::Dscp;
 use idio_stack::nf::NfKind;
 
-use crate::config::{SystemConfig, WorkloadSpec};
+use crate::config::SystemConfig;
 use crate::policy::SteeringPolicy;
 use crate::report::RunReport;
-use crate::sweep::{FigureSpec, SweepCell, SweepOptions};
+use crate::sweep::{FigureSpec, SweepCell};
 
 /// Run-length scaling for the experiment drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,15 +168,30 @@ fn fmt_ratio(r: f64) -> String {
     }
 }
 
-/// Builds the standard bursty-traffic configuration behind most figures.
+/// Builds the standard bursty-traffic configuration behind most figures:
+/// two TouchDrop cores receiving best-effort MTU frames, optionally with
+/// the LLC antagonist co-running.
 fn bursty_cfg(
+    scale: Scale,
+    rate_gbps: f64,
+    policy: SteeringPolicy,
+    antagonist: bool,
+) -> SystemConfig {
+    let cfg = bursty_nf_cfg(scale, rate_gbps, policy, NfKind::TouchDrop, 1514);
+    if antagonist {
+        cfg.with_antagonist()
+    } else {
+        cfg
+    }
+}
+
+/// [`bursty_cfg`] without the antagonist, for another NF or frame length.
+fn bursty_nf_cfg(
     scale: Scale,
     rate_gbps: f64,
     policy: SteeringPolicy,
     kind: NfKind,
     packet_len: u16,
-    antagonist: bool,
-    dscp: Dscp,
 ) -> SystemConfig {
     let traffic = scale.bursty(rate_gbps, packet_len);
     let mut cfg = SystemConfig::touchdrop_scenario(2, traffic);
@@ -183,13 +201,8 @@ fn bursty_cfg(
     for w in &mut cfg.workloads {
         w.kind = kind;
         w.packet_len = packet_len;
-        w.dscp = dscp;
     }
-    cfg = cfg.with_policy(policy);
-    if antagonist {
-        cfg = cfg.with_antagonist();
-    }
-    cfg
+    cfg.with_policy(policy)
 }
 
 /// Builds the steady-traffic configuration (Figs. 4/13, bloating, sweeps).
@@ -421,15 +434,7 @@ pub fn fig4_spec(scale: Scale) -> FigureSpec {
 pub fn fig5_spec(scale: Scale) -> FigureSpec {
     let cells = vec![SweepCell::new(
         "fig5/DDIO/100G",
-        bursty_cfg(
-            scale,
-            100.0,
-            SteeringPolicy::Ddio,
-            NfKind::TouchDrop,
-            1514,
-            false,
-            Dscp::BEST_EFFORT,
-        ),
+        bursty_cfg(scale, 100.0, SteeringPolicy::Ddio, false),
     )];
     FigureSpec::new("fig5", cells, |outcomes| {
         let r = &outcomes[0].report;
@@ -479,15 +484,7 @@ pub fn fig9_spec(scale: Scale) -> FigureSpec {
         for policy in SteeringPolicy::ALL {
             cells.push(SweepCell::new(
                 format!("fig9/{rate:.0}G/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    rate,
-                    policy,
-                    NfKind::TouchDrop,
-                    1514,
-                    false,
-                    Dscp::BEST_EFFORT,
-                ),
+                bursty_cfg(scale, rate, policy, false),
             ));
             meta.push((rate, policy));
         }
@@ -559,30 +556,10 @@ pub fn fig10_spec(scale: Scale) -> FigureSpec {
             } else {
                 vec![SteeringPolicy::StaticIdio, SteeringPolicy::Idio]
             };
-            cells.push(SweepCell::new(
-                format!("fig10/{scenario}/{rate:.0}G/DDIO"),
-                bursty_cfg(
-                    scale,
-                    rate,
-                    SteeringPolicy::Ddio,
-                    NfKind::TouchDrop,
-                    1514,
-                    antagonist,
-                    Dscp::BEST_EFFORT,
-                ),
-            ));
-            for &policy in &policies {
+            for policy in std::iter::once(SteeringPolicy::Ddio).chain(policies.iter().copied()) {
                 cells.push(SweepCell::new(
                     format!("fig10/{scenario}/{rate:.0}G/{}", policy.label()),
-                    bursty_cfg(
-                        scale,
-                        rate,
-                        policy,
-                        NfKind::TouchDrop,
-                        1514,
-                        antagonist,
-                        Dscp::BEST_EFFORT,
-                    ),
+                    bursty_cfg(scale, rate, policy, antagonist),
                 ));
             }
             plan.push((scenario, rate, policies));
@@ -660,15 +637,7 @@ pub fn fig11_spec(scale: Scale) -> FigureSpec {
         .map(|&policy| {
             SweepCell::new(
                 format!("fig11/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    25.0,
-                    policy,
-                    NfKind::L2Fwd,
-                    1024,
-                    false,
-                    Dscp::BEST_EFFORT,
-                ),
+                bursty_nf_cfg(scale, 25.0, policy, NfKind::L2Fwd, 1024),
             )
         })
         .collect();
@@ -728,18 +697,11 @@ pub fn direct_dram_spec(scale: Scale) -> FigureSpec {
     let cells = policies
         .iter()
         .map(|&policy| {
-            SweepCell::new(
-                format!("direct_dram/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    25.0,
-                    policy,
-                    NfKind::L2FwdPayloadDrop,
-                    1514,
-                    false,
-                    Dscp::CLASS1_DEFAULT,
-                ),
-            )
+            let mut cfg = bursty_nf_cfg(scale, 25.0, policy, NfKind::L2FwdPayloadDrop, 1514);
+            for w in &mut cfg.workloads {
+                w.dscp = Dscp::CLASS1_DEFAULT;
+            }
+            SweepCell::new(format!("direct_dram/{}", policy.label()), cfg)
         })
         .collect();
     FigureSpec::new("direct_dram", cells, move |outcomes| {
@@ -793,15 +755,7 @@ pub fn fig12_spec(scale: Scale) -> FigureSpec {
         for (scenario, antagonist, policy) in variants {
             cells.push(SweepCell::new(
                 format!("fig12/{rate:.0}G/{scenario}/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    rate,
-                    policy,
-                    NfKind::TouchDrop,
-                    1514,
-                    antagonist,
-                    Dscp::BEST_EFFORT,
-                ),
+                bursty_cfg(scale, rate, policy, antagonist),
             ));
         }
     }
@@ -907,26 +861,10 @@ pub fn fig14_spec(scale: Scale) -> FigureSpec {
     let thresholds = [10.0f64, 25.0, 50.0, 75.0, 100.0];
     let mut cells = vec![SweepCell::new(
         "fig14/DDIO-base",
-        bursty_cfg(
-            scale,
-            100.0,
-            SteeringPolicy::Ddio,
-            NfKind::TouchDrop,
-            1514,
-            false,
-            Dscp::BEST_EFFORT,
-        ),
+        bursty_cfg(scale, 100.0, SteeringPolicy::Ddio, false),
     )];
     for thr in thresholds {
-        let mut cfg = bursty_cfg(
-            scale,
-            100.0,
-            SteeringPolicy::Idio,
-            NfKind::TouchDrop,
-            1514,
-            false,
-            Dscp::BEST_EFFORT,
-        );
+        let mut cfg = bursty_cfg(scale, 100.0, SteeringPolicy::Idio, false);
         cfg.idio = cfg.idio.with_mlc_thr_mtps(thr);
         cells.push(SweepCell::new(format!("fig14/thr{thr:.0}"), cfg));
     }
@@ -983,15 +921,7 @@ pub fn future_work_spec(scale: Scale) -> FigureSpec {
     let mut meta = Vec::new();
     for rate in [100.0f64, 25.0] {
         for (name, pacing) in variants {
-            let mut cfg = bursty_cfg(
-                scale,
-                rate,
-                SteeringPolicy::Idio,
-                NfKind::TouchDrop,
-                1514,
-                false,
-                Dscp::BEST_EFFORT,
-            );
+            let mut cfg = bursty_cfg(scale, rate, SteeringPolicy::Idio, false);
             cfg.prefetcher.pacing = pacing;
             if matches!(pacing, PrefetchPacing::CpuPaced { .. }) {
                 // The paced queue never drops; give it room for a full
@@ -1109,7 +1039,7 @@ pub fn copy_mode_spec(scale: Scale) -> FigureSpec {
         for policy in policies {
             cells.push(SweepCell::new(
                 format!("copy-mode/{name}/{}", policy.label()),
-                bursty_cfg(scale, 25.0, policy, kind, 1514, false, Dscp::BEST_EFFORT),
+                bursty_nf_cfg(scale, 25.0, policy, kind, 1514),
             ));
             meta.push((name, policy));
         }
@@ -1171,15 +1101,7 @@ pub fn baselines_spec(scale: Scale) -> FigureSpec {
         for policy in policies {
             cells.push(SweepCell::new(
                 format!("baselines/{rate:.0}G/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    rate,
-                    policy,
-                    NfKind::TouchDrop,
-                    1514,
-                    false,
-                    Dscp::BEST_EFFORT,
-                ),
+                bursty_cfg(scale, rate, policy, false),
             ));
             meta.push((rate, policy));
         }
@@ -1268,15 +1190,7 @@ pub fn packet_sweep_spec(scale: Scale) -> FigureSpec {
         for policy in policies {
             cells.push(SweepCell::new(
                 format!("packet-sweep/{len}B/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    25.0,
-                    policy,
-                    NfKind::TouchDrop,
-                    len,
-                    false,
-                    Dscp::BEST_EFFORT,
-                ),
+                bursty_nf_cfg(scale, 25.0, policy, NfKind::TouchDrop, len),
             ));
         }
     }
@@ -1308,46 +1222,6 @@ pub fn packet_sweep_spec(scale: Scale) -> FigureSpec {
         }
         t
     })
-}
-
-/// Declares every experiment at the given scale, in paper order.
-pub fn all_specs(scale: Scale) -> Vec<FigureSpec> {
-    vec![
-        table1_spec(),
-        table2_spec(),
-        fig4_spec(scale),
-        fig5_spec(scale),
-        fig9_spec(scale),
-        fig10_spec(scale),
-        fig11_spec(scale),
-        direct_dram_spec(scale),
-        fig12_spec(scale),
-        fig13_spec(scale),
-        fig14_spec(scale),
-        future_work_spec(scale),
-        bloating_spec(scale),
-        copy_mode_spec(scale),
-        baselines_spec(scale),
-        ring_sweep_spec(scale),
-        packet_sweep_spec(scale),
-    ]
-}
-
-/// Runs every experiment at the given scale, in paper order (serially).
-pub fn all(scale: Scale) -> Vec<FigureResult> {
-    crate::sweep::run_figures(all_specs(scale), &SweepOptions::serial()).0
-}
-
-/// Convenience used by workload specs in ad-hoc experiment code.
-pub fn workload(core: u16, kind: NfKind, traffic: TrafficPattern, len: u16) -> WorkloadSpec {
-    WorkloadSpec {
-        core: CoreId::new(core),
-        kind,
-        traffic,
-        packet_len: len,
-        dscp: Dscp::BEST_EFFORT,
-        pool: None,
-    }
 }
 
 #[cfg(test)]
@@ -1404,20 +1278,5 @@ mod tests {
         assert!(ratio(5, 0).is_infinite());
         assert_eq!(fmt_ratio(ratio(1, 2)), "0.500");
         assert_eq!(fmt_ratio(f64::INFINITY), "inf");
-    }
-
-    #[test]
-    fn specs_declare_unique_labels_across_the_suite() {
-        let mut labels = Vec::new();
-        for spec in all_specs(Scale::quick()) {
-            for cell in &spec.cells {
-                labels.push(cell.label.clone());
-            }
-        }
-        let total = labels.len();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), total, "duplicate cell label across figures");
-        assert!(total >= 50, "the suite declares a substantial cell pool");
     }
 }

@@ -338,29 +338,12 @@ impl FigureSpec {
     }
 
     /// Runs this figure's cells serially with default options and
-    /// assembles the result — the drop-in replacement for the legacy
-    /// inline-loop figure drivers.
+    /// assembles the result (a one-figure [`run_figures_detailed`]).
     pub fn run_serial(self) -> FigureResult {
-        self.run(&SweepOptions::serial()).0
-    }
-
-    /// Runs this figure's cells under `opts` and assembles the result.
-    pub fn run(self, opts: &SweepOptions) -> (FigureResult, FigureTiming) {
-        let id = self.id;
-        let outcomes = run_cells(self.cells, opts);
-        let timing = FigureTiming {
-            id,
-            cells: outcomes.iter().map(cell_timing).collect(),
-        };
-        ((self.assemble)(&outcomes), timing)
-    }
-}
-
-fn cell_timing(o: &CellOutcome) -> CellTiming {
-    CellTiming {
-        label: o.label.clone(),
-        wall: o.wall,
-        events: o.report.profile.clone(),
+        run_figures_detailed(vec![self], &SweepOptions::serial())
+            .figures
+            .pop()
+            .expect("one spec assembles one figure")
     }
 }
 
@@ -386,21 +369,13 @@ pub struct SuiteOutcome {
     pub timing: SuiteTiming,
 }
 
-/// Runs a whole suite of figures over one shared worker pool.
+/// Runs a whole suite of figures over one shared worker pool and
+/// returns the assembled figures, each cell's final metrics snapshot (the
+/// `repro --metrics` data source) and the timing.
 ///
 /// All cells of all figures are flattened into a single batch so that a
 /// figure with one long-running cell does not serialise the sweep; results
 /// are regrouped per figure and assembled in declaration order.
-pub fn run_figures(
-    specs: Vec<FigureSpec>,
-    opts: &SweepOptions,
-) -> (Vec<FigureResult>, SuiteTiming) {
-    let out = run_figures_detailed(specs, opts);
-    (out.figures, out.timing)
-}
-
-/// [`run_figures`] plus each cell's final metrics snapshot (the
-/// `repro --metrics` data source).
 pub fn run_figures_detailed(specs: Vec<FigureSpec>, opts: &SweepOptions) -> SuiteOutcome {
     let t0 = Instant::now();
     // Flatten (figure index, cell) pairs, remembering each figure's span.
@@ -426,7 +401,14 @@ pub fn run_figures_detailed(specs: Vec<FigureSpec>, opts: &SweepOptions) -> Suit
         let mine = &outcomes[span];
         timings.push(FigureTiming {
             id: spec.id,
-            cells: mine.iter().map(cell_timing).collect(),
+            cells: mine
+                .iter()
+                .map(|o| CellTiming {
+                    label: o.label.clone(),
+                    wall: o.wall,
+                    events: o.report.profile.clone(),
+                })
+                .collect(),
         });
         figures.push((spec.assemble)(mine));
     }

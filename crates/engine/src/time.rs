@@ -388,6 +388,20 @@ impl Default for Freq {
     }
 }
 
+/// Checks that `gbps` is a usable line rate: finite and strictly positive
+/// (the precondition of [`wire_time`]).
+///
+/// # Errors
+///
+/// Returns a message naming the rejected rate.
+pub fn check_rate(gbps: f64) -> Result<(), String> {
+    if gbps.is_finite() && gbps > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("rate must be finite and positive, got {gbps}"))
+    }
+}
+
 /// Computes the wire time of `bytes` at `gbps` gigabits per second.
 ///
 /// # Examples
@@ -405,10 +419,9 @@ impl Default for Freq {
 /// infinite, zero, or negative rate would otherwise turn into a garbage
 /// `u64` timestamp).
 pub fn wire_time(bytes: u64, gbps: f64) -> Duration {
-    assert!(
-        gbps.is_finite() && gbps > 0.0,
-        "rate must be finite and positive, got {gbps}"
-    );
+    if let Err(e) = check_rate(gbps) {
+        panic!("{e}");
+    }
     let bits = bytes as f64 * 8.0;
     Duration::from_ps(ps_from_f64((bits / gbps * 1_000.0).round()))
 }

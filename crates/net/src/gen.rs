@@ -8,7 +8,7 @@
 //! drops within a single burst — which [`BurstSpec::for_ring`] computes.
 
 use idio_engine::rng::SimRng;
-use idio_engine::time::{wire_time, Duration, SimTime};
+use idio_engine::time::{check_rate, wire_time, Duration, SimTime};
 
 use crate::packet::{Dscp, FiveTuple, Packet};
 
@@ -66,21 +66,52 @@ impl BurstSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the burst does not fit in the period or any parameter is
-    /// zero.
+    /// Panics where [`BurstSpec::try_for_ring`] returns an error.
     pub fn for_ring(ring_size: u32, packet_len: u16, rate_gbps: f64, period: Duration) -> Self {
-        assert!(ring_size > 0, "empty burst");
-        let intra_gap = wire_time(u64::from(packet_len), rate_gbps);
-        let burst_len = intra_gap * u64::from(ring_size);
-        assert!(
-            burst_len < period,
-            "burst of {burst_len} does not fit in period {period}"
-        );
-        BurstSpec {
+        Self::try_for_ring(ring_size, packet_len, rate_gbps, period)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`BurstSpec::for_ring`] for untrusted parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the rate is not finite and positive, the
+    /// burst is empty, or it does not fit in the period.
+    pub fn try_for_ring(
+        ring_size: u32,
+        packet_len: u16,
+        rate_gbps: f64,
+        period: Duration,
+    ) -> Result<Self, String> {
+        check_rate(rate_gbps)?;
+        let spec = BurstSpec {
             period,
             packets_per_burst: ring_size,
-            intra_gap,
+            intra_gap: wire_time(u64::from(packet_len), rate_gbps),
+        };
+        spec.check()?;
+        Ok(spec)
+    }
+
+    /// Checks that the burst is non-empty and that all of it, including
+    /// the last frame's slot, fits in one period.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the violated constraint.
+    pub fn check(&self) -> Result<(), String> {
+        if self.packets_per_burst == 0 {
+            return Err("empty burst (zero packets)".into());
         }
+        let burst_len = self.intra_gap * u64::from(self.packets_per_burst);
+        if burst_len >= self.period {
+            return Err(format!(
+                "burst of {burst_len} does not fit in period {}",
+                self.period
+            ));
+        }
+        Ok(())
     }
 
     /// Duration from the first to the last packet of one burst.
@@ -109,6 +140,23 @@ pub enum TrafficPattern {
         /// deterministic).
         seed: u64,
     },
+}
+
+impl TrafficPattern {
+    /// Checks the pattern can drive a generator: steady and Poisson rates
+    /// must be finite and positive, bursts must pass [`BurstSpec::check`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the violated constraint.
+    pub fn check(&self) -> Result<(), String> {
+        match self {
+            TrafficPattern::Steady { rate_gbps } | TrafficPattern::Poisson { rate_gbps, .. } => {
+                check_rate(*rate_gbps)
+            }
+            TrafficPattern::Bursty(spec) => spec.check(),
+        }
+    }
 }
 
 /// A deterministic packet-arrival generator for one flow.
@@ -151,7 +199,9 @@ impl TrafficGen {
     pub fn new(flow: FlowSpec, pattern: TrafficPattern, until: SimTime) -> Self {
         let seed = match pattern {
             TrafficPattern::Steady { rate_gbps } | TrafficPattern::Poisson { rate_gbps, .. } => {
-                assert!(rate_gbps > 0.0, "rate must be positive");
+                if let Err(e) = check_rate(rate_gbps) {
+                    panic!("{e}");
+                }
                 if let TrafficPattern::Poisson { seed, .. } = pattern {
                     seed
                 } else {

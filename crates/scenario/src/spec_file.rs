@@ -38,7 +38,7 @@ use idio_core::cache::config::HierarchyConfig;
 use idio_core::cache::set::WayMask;
 use idio_core::config::{check_frame_fits, FlowSteering};
 use idio_core::net::gen::{BurstSpec, TrafficPattern, MAX_FLOW_SET_FLOWS};
-use idio_core::net::packet::{Dscp, MIN_FRAME_BYTES};
+use idio_core::net::packet::Dscp;
 use idio_core::net::trace::read_trace;
 use idio_core::policy::{CatMode, PolicyCaps, PolicySpec, PrefetchMode, SteeringPolicy};
 use idio_core::pool::PoolSpec;
@@ -1059,17 +1059,8 @@ fn tenant_traffic(t: &Table, packet_len: u16) -> Result<TrafficPattern, SpecErro
                 packets_per_burst: packets,
                 intra_gap,
             };
-            // Same fit check BurstSpec::for_ring asserts, as an error.
-            if spec.intra_gap * u64::from(packets) >= spec.period {
-                return Err(SpecError::new(
-                    packets_e.val_pos,
-                    format!(
-                        "burst of {} does not fit in period {}",
-                        spec.intra_gap * u64::from(packets),
-                        spec.period
-                    ),
-                ));
-            }
+            spec.check()
+                .map_err(|msg| SpecError::new(packets_e.val_pos, msg))?;
             Ok(TrafficPattern::Bursty(spec))
         }
         other => Err(SpecError::new(
@@ -1195,12 +1186,6 @@ fn build_tenant(
         .get("packet_len")
         .ok_or_else(|| missing(t, "tenant", "packet_len"))?;
     let packet_len = want_u16(packet_len_entry, "packet_len")?;
-    if packet_len < MIN_FRAME_BYTES {
-        return Err(SpecError::new(
-            packet_len_entry.val_pos,
-            format!("packet_len {packet_len} below the Ethernet minimum ({MIN_FRAME_BYTES})"),
-        ));
-    }
     check_frame_fits(packet_len).map_err(|msg| SpecError::new(packet_len_entry.val_pos, msg))?;
     let dscp = match t.get("dscp") {
         Some(e) => {
@@ -1721,6 +1706,7 @@ pub fn to_file_string(scenario: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idio_core::net::packet::MIN_FRAME_BYTES;
     use idio_engine::check::{Cases, Gen};
 
     const MINIMAL: &str = r#"
@@ -1907,6 +1893,14 @@ max_drop_rate = 0.25
         ))
         .unwrap_err();
         assert!(e.msg.contains("does not fit"), "{e}");
+        // runt frame: the shared frame-length check, at the value.
+        let e = parse_str(
+            &tenant("traffic = \"steady\"\nrate_gbps = 1.0\n")
+                .replace("packet_len = 256", "packet_len = 10"),
+        )
+        .unwrap_err();
+        assert_eq!((e.line, e.col), (8, 14), "{e}");
+        assert!(e.msg.contains("below the Ethernet minimum (64)"), "{e}");
         // replay needs a file context under parse_str.
         let e = parse_str(&tenant(
             "traffic = \"steady\"\nrate_gbps = 1.0\nreplay = \"t.trace\"\n",

@@ -2,8 +2,9 @@
 //! conservation, hierarchy invariants under load, and policy behaviour
 //! contracts.
 
+use idio_bench::{experiment_spec, EXPERIMENTS};
 use idio_core::config::{SystemConfig, TenantSpec};
-use idio_core::experiments::{self, Scale};
+use idio_core::experiments::Scale;
 use idio_core::net::gen::{BurstSpec, FlowSpec, TrafficGen, TrafficPattern};
 use idio_core::policy::SteeringPolicy;
 use idio_core::report::RunReport;
@@ -222,9 +223,13 @@ fn assert_same_reports(a: Vec<SweepCell>, b: Vec<SweepCell>) {
 /// antagonist-only config, gives an identical `RunReport`.
 #[test]
 fn workloads_only_configs_equal_single_flow_tenants() {
-    let mut cells: Vec<SweepCell> = experiments::all_specs(Scale::quick())
-        .into_iter()
-        .flat_map(|spec| spec.cells)
+    let mut cells: Vec<SweepCell> = EXPERIMENTS
+        .iter()
+        .flat_map(|name| {
+            experiment_spec(name, Scale::quick())
+                .expect("known name")
+                .cells
+        })
         .collect();
     let mut antagonist_only =
         SystemConfig::touchdrop_scenario(0, TrafficPattern::Steady { rate_gbps: 1.0 })

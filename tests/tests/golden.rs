@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use idio_bench::experiment_spec;
 use idio_bench::json::figure_to_json;
 use idio_core::experiments::Scale;
-use idio_core::sweep::{run_figures, SweepOptions};
+use idio_core::sweep::{run_figures_detailed, SweepOptions};
 
 /// Figures under golden protection (experiment names as accepted by the
 /// `repro` binary).
@@ -51,7 +51,7 @@ fn quick_suite_matches_blessed_goldens() {
         .collect();
     // Default options: the same root seed and declaration order the repro
     // binary uses, so goldens match `repro --quick --json` rows.
-    let (figures, _) = run_figures(specs, &SweepOptions::default());
+    let figures = run_figures_detailed(specs, &SweepOptions::default()).figures;
 
     let dir = golden_dir();
     let mut failures = Vec::new();
