@@ -6,12 +6,17 @@
 //!     --packet 1514 --cores 2 --duration-ms 20 --antagonist
 //! ```
 //!
-//! Prints the run report (transaction totals, latency percentiles, burst
-//! processing times) for the configured scenario.
+//! The flags describe an [`idio_scenario::Scenario`] with one single-flow
+//! tenant per core (UDP port `5000 + i` on core `i`); `--queue-policy` and
+//! `--queue-pool` override one tenant. The scenario's mixed configuration
+//! runs once, plus the knobs no scenario file carries (ring depth,
+//! antagonist, mlcTHR, seed, trace, tick metrics). Prints the run report
+//! (transaction totals, latency percentiles, burst processing times).
 
+use std::io::Write;
 use std::process::ExitCode;
 
-use idio_core::config::SystemConfig;
+use idio_core::config::{FlowSteering, SystemConfig};
 use idio_core::net::gen::{BurstSpec, TrafficPattern};
 use idio_core::net::packet::Dscp;
 use idio_core::policy::{PolicySpec, SteeringPolicy};
@@ -21,6 +26,7 @@ use idio_core::sweep::{run_cells, SweepCell, SweepOptions};
 use idio_core::system::System;
 use idio_engine::telemetry::{records_to_ndjson, TraceFilter};
 use idio_engine::time::{Duration, SimTime};
+use idio_scenario::{Scenario, TenantDef};
 
 struct Args {
     policy: SteeringPolicy,
@@ -80,8 +86,8 @@ fn usage() {
     println!(
         "usage: simulate [options]\n\
          --policy ddio|invalidate|prefetch|static|idio|iat (default idio)\n\
-         --queue-policy <q>=<policy>                     per-queue override of --policy\n\
-                                                         (repeatable; queue q runs <policy>)\n\
+         --queue-policy <q>=<policy>                     core q's tenant runs <policy> instead\n\
+                                                         of --policy (repeatable)\n\
          --nf touchdrop|l2fwd|payload-drop|copy|deepfwd|chain\n\
                                                          (default touchdrop; chain = the UPF\n\
                                                          parse>classify>rewrite>forward pipeline)\n\
@@ -114,25 +120,19 @@ fn usage() {
     );
 }
 
-/// Parses a pool spec: `dram`, `recycle`, or `recycle:<slots>` (the same
-/// shapes the scenario-file `pool` key accepts).
-fn parse_pool(s: &str) -> Result<PoolSpec, String> {
-    match s {
-        "dram" => Ok(PoolSpec::Dram),
-        "recycle" => Ok(PoolSpec::Recycle { slots: None }),
-        _ => match s.strip_prefix("recycle:") {
-            Some(n) => {
-                let slots: u32 = n.parse().map_err(|_| format!("bad slot count '{n}'"))?;
-                if slots == 0 {
-                    return Err("recycle pool needs at least one slot".into());
-                }
-                Ok(PoolSpec::Recycle { slots: Some(slots) })
-            }
-            None => Err(format!(
-                "unknown pool '{s}' (expected dram|recycle|recycle:<slots>)"
-            )),
-        },
-    }
+/// Splits a `<q>=<what>` per-queue override.
+fn queue_override<'a>(flag: &str, what: &str, spec: &'a str) -> Result<(usize, &'a str), String> {
+    let (q, value) = spec
+        .split_once('=')
+        .ok_or_else(|| format!("{flag} expects <q>=<{what}>, got '{spec}'"))?;
+    let q = q
+        .parse()
+        .map_err(|e| format!("bad queue index '{q}': {e}"))?;
+    Ok((q, value))
+}
+
+fn parse_policy(name: &str) -> Result<SteeringPolicy, String> {
+    SteeringPolicy::from_name(name).ok_or_else(|| format!("unknown policy '{name}'"))
 }
 
 fn parse() -> Result<Args, String> {
@@ -141,22 +141,11 @@ fn parse() -> Result<Args, String> {
     while let Some(a) = it.next() {
         let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match a.as_str() {
-            "--policy" => {
-                let name = val("--policy")?;
-                args.policy = SteeringPolicy::from_name(&name)
-                    .ok_or_else(|| format!("unknown policy '{name}'"))?;
-            }
+            "--policy" => args.policy = parse_policy(&val("--policy")?)?,
             "--queue-policy" => {
                 let spec = val("--queue-policy")?;
-                let (q, name) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--queue-policy expects <q>=<policy>, got '{spec}'"))?;
-                let q: usize = q
-                    .parse()
-                    .map_err(|e| format!("bad queue index '{q}': {e}"))?;
-                let p = SteeringPolicy::from_name(name)
-                    .ok_or_else(|| format!("unknown policy '{name}'"))?;
-                args.queue_policies.push((q, p));
+                let (q, name) = queue_override("--queue-policy", "policy", &spec)?;
+                args.queue_policies.push((q, parse_policy(name)?));
             }
             "--nf" => {
                 args.nf = match val("--nf")?.to_lowercase().as_str() {
@@ -169,16 +158,11 @@ fn parse() -> Result<Args, String> {
                     other => return Err(format!("unknown nf '{other}'")),
                 }
             }
-            "--pool" => args.pool = Some(parse_pool(&val("--pool")?)?),
+            "--pool" => args.pool = Some(PoolSpec::from_name(&val("--pool")?)?),
             "--queue-pool" => {
                 let spec = val("--queue-pool")?;
-                let (q, pool) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--queue-pool expects <q>=<pool>, got '{spec}'"))?;
-                let q: usize = q
-                    .parse()
-                    .map_err(|e| format!("bad queue index '{q}': {e}"))?;
-                args.queue_pools.push((q, parse_pool(pool)?));
+                let (q, pool) = queue_override("--queue-pool", "pool", &spec)?;
+                args.queue_pools.push((q, PoolSpec::from_name(pool)?));
             }
             "--rate" => args.rate_gbps = val("--rate")?.parse().map_err(|e| format!("{e}"))?,
             "--bursty" => args.bursty = true,
@@ -221,69 +205,104 @@ fn parse() -> Result<Args, String> {
     Ok(args)
 }
 
-fn main() -> ExitCode {
-    let args = match parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
+/// Where an NDJSON dump goes: stdout, or a file created before the run so
+/// that an unwritable path fails up front, not after minutes of simulated
+/// time.
+enum Sink {
+    Stdout,
+    File(String, std::fs::File),
+}
 
-    // Validate the trace sink *before* the (potentially long) simulation:
-    // an unwritable path must fail cleanly up front, not after minutes of
-    // simulated time.
-    let mut trace_sink = match &args.trace_out {
-        Some(path) => {
-            if args.trace.is_off() {
-                eprintln!("error: --trace-out requires --trace");
-                return ExitCode::FAILURE;
-            }
-            if args.all_policies {
-                eprintln!("error: --trace-out cannot be combined with --all-policies");
-                return ExitCode::FAILURE;
-            }
-            match std::fs::File::create(path) {
-                Ok(f) => Some((path.clone(), f)),
-                Err(e) => {
-                    eprintln!("error: cannot create trace file '{path}': {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
-    let mut tick_sink = match &args.tick_metrics_out {
-        Some(path) => {
-            if args.all_policies {
-                eprintln!("error: --tick-metrics-out cannot be combined with --all-policies");
-                return ExitCode::FAILURE;
-            }
-            match std::fs::File::create(path) {
-                Ok(f) => Some((path.clone(), f)),
-                Err(e) => {
-                    eprintln!("error: cannot create tick-metrics file '{path}': {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
-    if args.tick_metrics && args.all_policies {
-        eprintln!("error: --tick-metrics cannot be combined with --all-policies");
-        return ExitCode::FAILURE;
+impl Sink {
+    /// Opens the `what` dump's sink (`path = None` is stdout).
+    fn open(what: &str, path: Option<&str>) -> Result<Sink, String> {
+        let Some(path) = path else {
+            return Ok(Sink::Stdout);
+        };
+        std::fs::File::create(path)
+            .map(|f| Sink::File(path.to_string(), f))
+            .map_err(|e| format!("cannot create {what} file '{path}': {e}"))
     }
 
-    let period = Duration::from_ms(5);
-    let traffic = if args.bursty {
-        match BurstSpec::try_for_ring(args.ring, args.packet, args.rate_gbps, period) {
-            Ok(spec) => TrafficPattern::Bursty(spec),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+    /// Writes the `what` dump to the sink.
+    fn write(self, what: &str, ndjson: &str) -> Result<(), String> {
+        match self {
+            Sink::Stdout => print!("{ndjson}"),
+            Sink::File(path, mut f) => {
+                f.write_all(ndjson.as_bytes())
+                    .map_err(|e| format!("cannot write {what} to '{path}': {e}"))?;
+                eprintln!("[{what} written to {path}]");
             }
         }
+        Ok(())
+    }
+}
+
+/// The flags as a scenario: one single-flow tenant per core `i` on UDP
+/// port `5000 + i`, carrying the NF, frame size, DSCP and pool flags, with
+/// `--queue-policy` / `--queue-pool` as overrides of tenant `q`.
+fn scenario(args: &Args, traffic: TrafficPattern) -> Result<Scenario, String> {
+    let dscp = if args.class1 {
+        Dscp::CLASS1_DEFAULT
+    } else {
+        Dscp::BEST_EFFORT
+    };
+    let mut tenants: Vec<TenantDef> = (0..args.cores as u16)
+        .map(|i| TenantDef {
+            pool: args.pool,
+            ..TenantDef::new(
+                format!("core{i}"),
+                args.nf,
+                vec![i],
+                1,
+                5000 + i,
+                traffic,
+                args.packet,
+            )
+            .with_dscp(dscp)
+        })
+        .collect();
+    let have = tenants.len();
+    for &(q, pool) in &args.queue_pools {
+        let t = tenants.get_mut(q).ok_or_else(|| {
+            format!("--queue-pool {q}=... names a nonexistent queue (have {have})")
+        })?;
+        t.pool = Some(pool);
+    }
+    for &(q, p) in &args.queue_policies {
+        let t = tenants.get_mut(q).ok_or_else(|| {
+            format!(
+                "--queue-policy {q}={} names a nonexistent queue (have {have})",
+                p.name()
+            )
+        })?;
+        t.policy = Some(PolicySpec::Preset(p));
+    }
+    Ok(Scenario {
+        name: "simulate".into(),
+        description: String::new(),
+        policy: args.policy,
+        steering: FlowSteering::default(),
+        duration: SimTime::from_ms(args.duration_ms),
+        drain_grace: Duration::from_ms(5),
+        perfect_filters: None,
+        atr_lifetime: None,
+        pool_idle_flush: None,
+        tenants,
+    })
+}
+
+/// The run's configuration: the scenario's mixed config plus the knobs
+/// that have no scenario-file key.
+fn config(args: &Args) -> Result<SystemConfig, String> {
+    let period = Duration::from_ms(5);
+    let traffic = if args.bursty {
+        TrafficPattern::Bursty(BurstSpec::try_for_ring(
+            args.ring,
+            args.packet,
+            args.rate_gbps,
+            period,
+        )?)
     } else if args.poisson {
         TrafficPattern::Poisson {
             rate_gbps: args.rate_gbps,
@@ -294,64 +313,58 @@ fn main() -> ExitCode {
             rate_gbps: args.rate_gbps,
         }
     };
-
-    let mut cfg = SystemConfig::touchdrop_scenario(args.cores, traffic);
+    let mut cfg = scenario(args, traffic)?.mixed_config();
     cfg.ring_size = args.ring;
-    cfg.duration = SimTime::from_ms(args.duration_ms);
-    cfg.drain_grace = Duration::from_ms(5);
     cfg.seed = args.seed;
-    for w in &mut cfg.workloads {
-        w.kind = args.nf;
-        w.packet_len = args.packet;
-        w.pool = args.pool;
-        if args.class1 {
-            w.dscp = Dscp::CLASS1_DEFAULT;
-        }
-    }
-    for &(q, pool) in &args.queue_pools {
-        if q >= cfg.workloads.len() {
-            eprintln!(
-                "error: --queue-pool {q}=... names a nonexistent queue (have {})",
-                cfg.workloads.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        cfg.workloads[q].pool = Some(pool);
-    }
     if let Some(thr) = args.mlc_thr_mtps {
-        cfg.idio = match cfg.idio.try_with_mlc_thr_mtps(thr) {
-            Ok(idio) => idio,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        cfg.idio = cfg.idio.try_with_mlc_thr_mtps(thr)?;
     }
     cfg.trace = args.trace.clone();
     cfg.tick_metrics = args.tick_metrics;
-    cfg = cfg.with_policy(args.policy);
-    for &(q, p) in &args.queue_policies {
-        if q >= cfg.workloads.len() {
-            eprintln!(
-                "error: --queue-policy {q}={} names a nonexistent queue (have {})",
-                p.label().to_lowercase(),
-                cfg.workloads.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        cfg.queue_policies.insert(q, PolicySpec::Preset(p));
-    }
-    if args.all_policies && !args.queue_policies.is_empty() {
-        eprintln!("error: --queue-policy cannot be combined with --all-policies");
-        return ExitCode::FAILURE;
-    }
     if args.antagonist {
         cfg = cfg.with_antagonist();
     }
-    if let Err(e) = cfg.validate() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
+    cfg.validate()?;
+    Ok(cfg)
+}
+
+fn main() -> ExitCode {
+    let args = match parse() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("error: {e}\n");
+            usage();
+            return ExitCode::FAILURE;
+        }
+    };
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    if args.trace_out.is_some() && args.trace.is_off() {
+        return Err("--trace-out requires --trace".into());
+    }
+    if args.all_policies {
+        for (flag, set) in [
+            ("--trace-out", args.trace_out.is_some()),
+            ("--tick-metrics-out", args.tick_metrics_out.is_some()),
+            ("--tick-metrics", args.tick_metrics),
+            ("--queue-policy", !args.queue_policies.is_empty()),
+        ] {
+            if set {
+                return Err(format!("{flag} cannot be combined with --all-policies"));
+            }
+        }
+    }
+    let trace_sink = Sink::open("trace", args.trace_out.as_deref())?;
+    let tick_sink = Sink::open("tick-metrics", args.tick_metrics_out.as_deref())?;
+    let cfg = config(args)?;
 
     if args.all_policies {
         let cells: Vec<SweepCell> = SteeringPolicy::ALL
@@ -396,7 +409,7 @@ fn main() -> ExitCode {
                 o.wall,
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     println!(
@@ -455,18 +468,7 @@ fn main() -> ExitCode {
             report.metrics.counter("trace.evicted"),
             args.trace
         );
-        let ndjson = records_to_ndjson(&report.trace);
-        match &mut trace_sink {
-            Some((path, f)) => {
-                use std::io::Write;
-                if let Err(e) = f.write_all(ndjson.as_bytes()) {
-                    eprintln!("error: cannot write trace to '{path}': {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("[trace written to {path}]");
-            }
-            None => print!("{ndjson}"),
-        }
+        trace_sink.write("trace", &records_to_ndjson(&report.trace))?;
     }
     if args.tick_metrics {
         // Per-control-tick NDJSON timeline: deterministic (a pure function
@@ -475,22 +477,12 @@ fn main() -> ExitCode {
             "[tick-metrics: {} control ticks]",
             report.tick_metrics.len()
         );
-        let mut ndjson = String::new();
-        for line in &report.tick_metrics {
-            ndjson.push_str(line);
-            ndjson.push('\n');
-        }
-        match &mut tick_sink {
-            Some((path, f)) => {
-                use std::io::Write;
-                if let Err(e) = f.write_all(ndjson.as_bytes()) {
-                    eprintln!("error: cannot write tick metrics to '{path}': {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("[tick metrics written to {path}]");
-            }
-            None => print!("{ndjson}"),
-        }
+        let ndjson: String = report
+            .tick_metrics
+            .iter()
+            .map(|l| format!("{l}\n"))
+            .collect();
+        tick_sink.write("tick-metrics", &ndjson)?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -93,3 +93,119 @@ fn a_valid_config_still_runs() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("simulating: "));
 }
+
+/// The blessed stdout goldens live with the other report goldens.
+fn golden_path(name: &str) -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(format!("simulate_{name}.txt"))
+}
+
+fn blessing() -> bool {
+    std::env::var_os("IDIO_BLESS").is_some_and(|v| !v.is_empty() && v != "0")
+}
+
+/// Runs `args`, requires a clean exit, and returns stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = run(args);
+    assert!(
+        out.status.success(),
+        "{args:?}: stderr '{}'",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+/// Diffs `rendered` against `tests/golden/simulate_<name>.txt`
+/// (`IDIO_BLESS=1` rewrites it after an intentional output change).
+fn assert_golden(name: &str, rendered: &str) {
+    let path = golden_path(name);
+    if blessing() {
+        std::fs::write(&path, rendered).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden at {} ({e}); run with IDIO_BLESS=1 to create it",
+            path.display()
+        )
+    });
+    assert!(
+        expected == rendered,
+        "simulate {name}: stdout diverged from golden.\n--- golden\n{expected}\n--- current\n{rendered}"
+    );
+}
+
+#[test]
+fn default_run_matches_golden() {
+    assert_golden("default", &stdout_of(&["--duration-ms", "2"]));
+}
+
+#[test]
+fn per_queue_overrides_run_matches_golden() {
+    let args = [
+        "--nf",
+        "chain",
+        "--pool",
+        "recycle:64",
+        "--queue-pool",
+        "1=dram",
+        "--queue-policy",
+        "1=ddio",
+        "--class1",
+        "--steady",
+        "--rate",
+        "10",
+        "--cores",
+        "3",
+        "--duration-ms",
+        "1",
+    ];
+    assert_golden("overrides", &stdout_of(&args));
+}
+
+#[test]
+fn system_knobs_run_matches_golden() {
+    let args = [
+        "--poisson",
+        "--antagonist",
+        "--mlc-thr",
+        "40",
+        "--ring",
+        "256",
+        "--packet",
+        "512",
+        "--policy",
+        "iat",
+        "--duration-ms",
+        "1",
+    ];
+    assert_golden("knobs", &stdout_of(&args));
+}
+
+#[test]
+fn all_policies_table_matches_golden() {
+    let out = stdout_of(&["--all-policies", "--duration-ms", "1"]);
+    // The last column is host wall time; everything before it is a pure
+    // function of the configuration. The first line is the banner.
+    let mut lines = out.lines();
+    let mut rendered = format!("{}\n", lines.next().expect("banner line"));
+    for line in lines {
+        let (kept, _wall) = line.trim_end().rsplit_once(' ').expect("wall column");
+        rendered.push_str(kept.trim_end());
+        rendered.push('\n');
+    }
+    assert_golden("all_policies", &rendered);
+}
+
+#[test]
+fn overrides_of_missing_cores_are_rejected() {
+    assert_rejected(
+        &["--queue-policy", "5=static", "--duration-ms", "1"],
+        "names a nonexistent queue",
+    );
+    assert_rejected(
+        &["--queue-pool", "2=dram", "--duration-ms", "1"],
+        "names a nonexistent queue",
+    );
+}

@@ -112,8 +112,7 @@ pub struct TenantSpec {
     /// round-robin across the tenant's queues.
     pub replay: Option<Vec<Arrival>>,
     /// Steering-policy override for every queue this tenant owns. `None`
-    /// inherits [`SystemConfig::policy`]; a per-queue entry in
-    /// [`SystemConfig::queue_policies`] overrides this in turn.
+    /// inherits [`SystemConfig::policy`].
     pub policy: Option<PolicySpec>,
 }
 
@@ -178,14 +177,9 @@ pub struct SystemConfig {
     /// PCIe/DMA settings.
     pub dma: DmaConfig,
     /// The system-default placement policy — the bottom layer of the
-    /// policy table. [`TenantSpec::policy`] and
-    /// [`SystemConfig::queue_policies`] override it per tenant / per
-    /// queue; [`SystemConfig::policy_table`] resolves the layering.
+    /// policy table. [`TenantSpec::policy`] overrides it per tenant;
+    /// [`SystemConfig::policy_table`] resolves the layering.
     pub policy: SteeringPolicy,
-    /// Per-queue policy overrides (queue index = workload index), the top
-    /// layer of the policy table: an entry here wins over both the owning
-    /// tenant's [`TenantSpec::policy`] and the system default.
-    pub queue_policies: std::collections::BTreeMap<usize, PolicySpec>,
     /// IDIO controller settings.
     pub idio: IdioConfig,
     /// MLC prefetcher settings.
@@ -256,7 +250,6 @@ impl SystemConfig {
             classifier: ClassifierConfig::paper_default(),
             dma: DmaConfig::default(),
             policy: SteeringPolicy::Ddio,
-            queue_policies: std::collections::BTreeMap::new(),
             idio: IdioConfig::paper_default(),
             prefetcher: PrefetcherConfig::default(),
             invalidate_scope: InvalidateScope::IncludeLlc,
@@ -280,18 +273,11 @@ impl SystemConfig {
         self
     }
 
-    /// Returns the config with a per-queue policy override (queue index =
-    /// workload index).
-    pub fn with_queue_policy(mut self, queue: usize, policy: impl Into<PolicySpec>) -> Self {
-        self.queue_policies.insert(queue, policy.into());
-        self
-    }
-
     /// Resolves the layered policy configuration (system default →
-    /// per-tenant override → per-queue override) into the dense
-    /// [`PolicyTable`] the hot path indexes. A preset-only configuration
-    /// with no overrides resolves to a single-domain table whose behavior
-    /// is exactly the old global enum's.
+    /// per-tenant override) into the dense per-queue [`PolicyTable`] the
+    /// hot path indexes. A preset-only configuration with no overrides
+    /// resolves to a single-domain table whose behavior is exactly the old
+    /// global enum's.
     pub fn policy_table(&self) -> PolicyTable {
         let default = PolicySpec::Preset(self.policy);
         let mut per_queue = vec![default; self.workloads.len()];
@@ -302,11 +288,6 @@ impl SystemConfig {
                         *slot = p;
                     }
                 }
-            }
-        }
-        for (&q, &p) in &self.queue_policies {
-            if let Some(slot) = per_queue.get_mut(q) {
-                *slot = p;
             }
         }
         PolicyTable::new(default, &per_queue)
@@ -413,11 +394,6 @@ impl SystemConfig {
             w.traffic
                 .check()
                 .map_err(|e| format!("workload {i}: {e}"))?;
-        }
-        for &q in self.queue_policies.keys() {
-            if q >= self.workloads.len() {
-                return Err(format!("policy override for nonexistent queue {q}"));
-            }
         }
         self.validate_tenants()?;
         let h = self.effective_hierarchy();
@@ -649,17 +625,21 @@ mod tests {
     }
 
     #[test]
-    fn policy_layers_resolve_queue_over_tenant_over_default() {
+    fn policy_layers_resolve_tenant_over_default() {
         let mut cfg =
             SystemConfig::touchdrop_scenario(4, bursty()).with_policy(SteeringPolicy::Idio);
-        cfg.tenants = vec![tenant("a", vec![0, 1], 5000), tenant("b", vec![2, 3], 6000)];
+        cfg.tenants = vec![
+            tenant("a", vec![0, 1], 5000),
+            tenant("b", vec![2], 6000),
+            tenant("c", vec![3], 7000),
+        ];
         cfg.tenants[1].policy = Some(PolicySpec::Preset(SteeringPolicy::Ddio));
-        cfg = cfg.with_queue_policy(3, SteeringPolicy::IatDynamic);
+        cfg.tenants[2].policy = Some(PolicySpec::Preset(SteeringPolicy::IatDynamic));
         assert!(cfg.validate().is_ok());
         let t = cfg.policy_table();
         assert_eq!(t.num_domains(), 3);
-        // Queues 0/1 inherit the default, 2 takes the tenant override, 3
-        // the queue override on top of it.
+        // Queues 0/1 inherit the default, 2 and 3 take their tenants'
+        // overrides.
         assert_eq!(t.queue_domains(), &[0, 0, 1, 2]);
         assert_eq!(t.spec(0), PolicySpec::Preset(SteeringPolicy::Idio));
         assert_eq!(t.spec(1), PolicySpec::Preset(SteeringPolicy::Ddio));
@@ -684,30 +664,24 @@ mod tests {
                 ..SteeringPolicy::Idio.caps()
             })
         };
+        // Queue 0's single-flow tenant runs `cat`; queue 1 the default.
+        let on_queue0 = |spec| {
+            let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
+            cfg.tenants = cfg.arrival_tenants().into_owned();
+            cfg.tenants[0].policy = Some(spec);
+            cfg
+        };
         // A clean non-DDIO mask validates (paper LLC: 12 ways, 2 DDIO).
-        let ok = SystemConfig::touchdrop_scenario(2, bursty())
-            .with_queue_policy(0, cat(CatMode::Static(WayMask::range(4, 8))));
+        let ok = on_queue0(cat(CatMode::Static(WayMask::range(4, 8))));
         assert!(ok.validate().is_ok());
         // Auto needs no mask to validate.
-        let auto =
-            SystemConfig::touchdrop_scenario(2, bursty()).with_queue_policy(0, cat(CatMode::Auto));
-        assert!(auto.validate().is_ok());
-        let wide = SystemConfig::touchdrop_scenario(2, bursty())
-            .with_queue_policy(0, cat(CatMode::Static(WayMask::range(10, 14))));
+        assert!(on_queue0(cat(CatMode::Auto)).validate().is_ok());
+        let wide = on_queue0(cat(CatMode::Static(WayMask::range(10, 14))));
         assert!(wide.validate().unwrap_err().contains("wider"));
-        let overlap = SystemConfig::touchdrop_scenario(2, bursty())
-            .with_queue_policy(0, cat(CatMode::Static(WayMask::range(1, 4))));
+        let overlap = on_queue0(cat(CatMode::Static(WayMask::range(1, 4))));
         assert!(overlap.validate().unwrap_err().contains("overlaps"));
-        let empty = SystemConfig::touchdrop_scenario(2, bursty())
-            .with_queue_policy(0, cat(CatMode::Static(WayMask::EMPTY)));
+        let empty = on_queue0(cat(CatMode::Static(WayMask::EMPTY)));
         assert!(empty.validate().unwrap_err().contains("no way"));
-    }
-
-    #[test]
-    fn queue_policy_for_unknown_queue_rejected() {
-        let cfg = SystemConfig::touchdrop_scenario(2, bursty())
-            .with_queue_policy(7, SteeringPolicy::Ddio);
-        assert!(cfg.validate().unwrap_err().contains("nonexistent queue 7"));
     }
 
     #[test]

@@ -110,18 +110,23 @@ impl SteeringPolicy {
         }
     }
 
-    /// Parses a CLI policy name (the lowercase spellings the `simulate`
-    /// binary has always accepted, plus `iat`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "ddio" => Some(SteeringPolicy::Ddio),
-            "invalidate" => Some(SteeringPolicy::InvalidateOnly),
-            "prefetch" => Some(SteeringPolicy::PrefetchOnly),
-            "static" => Some(SteeringPolicy::StaticIdio),
-            "idio" => Some(SteeringPolicy::Idio),
-            "iat" => Some(SteeringPolicy::IatDynamic),
-            _ => None,
+    /// The lowercase spelling the `simulate` CLI and scenario files use.
+    pub fn name(self) -> &'static str {
+        match self {
+            SteeringPolicy::Ddio => "ddio",
+            SteeringPolicy::InvalidateOnly => "invalidate",
+            SteeringPolicy::PrefetchOnly => "prefetch",
+            SteeringPolicy::StaticIdio => "static",
+            SteeringPolicy::Idio => "idio",
+            SteeringPolicy::IatDynamic => "iat",
         }
+    }
+
+    /// Parses a [`SteeringPolicy::name`] spelling.
+    pub fn from_name(name: &str) -> Option<Self> {
+        SteeringPolicy::EXTENDED
+            .into_iter()
+            .find(|p| p.name() == name)
     }
 
     /// The capability set this preset resolves to. The named policies are
@@ -250,10 +255,10 @@ impl fmt::Display for PolicySpec {
 
 /// The layered policy configuration resolved into dense per-queue arrays.
 ///
-/// Resolution happens once (at `System::new` time): the system default,
-/// per-tenant overrides and per-queue overrides collapse into a set of
-/// *policy domains* — the distinct capability sets active in the run —
-/// plus a queue → domain index. The hot path then does exactly one array
+/// Resolution happens once (at `System::new` time): the system default
+/// and per-tenant overrides collapse into a set of *policy domains* — the
+/// distinct capability sets active in the run — plus a queue → domain
+/// index. The hot path then does exactly one array
 /// index per DMA line instead of a layered lookup.
 ///
 /// Domain 0 is always the system default, even when every queue overrides
@@ -268,7 +273,7 @@ pub struct PolicyTable {
 
 impl PolicyTable {
     /// Resolves `per_queue` effective specs (one per receive queue, already
-    /// layered: queue override > tenant override > `default`) into interned
+    /// layered: tenant override > `default`) into interned
     /// domains.
     ///
     /// # Panics
@@ -293,16 +298,6 @@ impl PolicyTable {
             domains,
             domain_caps,
             queue_domain,
-        }
-    }
-
-    /// A table where every queue runs the system default (legacy global
-    /// behavior).
-    pub fn uniform(default: PolicySpec, queues: usize) -> Self {
-        PolicyTable {
-            domains: vec![default],
-            domain_caps: vec![default.caps()],
-            queue_domain: vec![0; queues],
         }
     }
 
@@ -420,15 +415,14 @@ mod tests {
     fn spec_labels_and_parsing() {
         for p in SteeringPolicy::EXTENDED {
             assert_eq!(PolicySpec::Preset(p).label(), p.label());
-            let name = p.label().to_lowercase();
-            let name = match p {
-                SteeringPolicy::InvalidateOnly => "invalidate".to_string(),
-                SteeringPolicy::StaticIdio => "static".to_string(),
-                _ => name,
-            };
-            assert_eq!(SteeringPolicy::from_name(&name), Some(p), "{name}");
+            assert_eq!(SteeringPolicy::from_name(p.name()), Some(p), "{p}");
         }
         assert_eq!(SteeringPolicy::from_name("bogus"), None);
+        assert_eq!(
+            SteeringPolicy::from_name("IDIO"),
+            None,
+            "names are lowercase"
+        );
         let caps = PolicyCaps {
             invalidate: true,
             prefetch: PrefetchMode::Always,
@@ -475,7 +469,7 @@ mod tests {
         });
         let u = PolicyTable::new(idio, &[fixed]);
         assert!(u.any_cat() && !u.any_cat_auto());
-        assert!(!PolicyTable::uniform(idio, 2).any_cat());
+        assert!(!PolicyTable::new(idio, &[idio, idio]).any_cat());
     }
 
     #[test]
@@ -494,7 +488,7 @@ mod tests {
         // A preset override identical to the default folds into domain 0.
         let u = PolicyTable::new(idio, &[idio, idio]);
         assert_eq!(u.num_domains(), 1);
-        assert_eq!(u, PolicyTable::uniform(idio, 2));
+        assert_eq!(u.queue_domains(), &[0, 0]);
         assert!(!u.any_tunes_ddio_ways());
     }
 

@@ -335,8 +335,8 @@ pub struct System {
     dma_line_ranges: Vec<(u64, u64)>,
     /// Sample ticks seen (the occupancy gauge samples every 10th tick).
     sample_ticks: u64,
-    /// Resolved layered policy table: system default → per-tenant →
-    /// per-queue, interned into dense policy domains (see
+    /// Resolved layered policy table: system default → per-tenant,
+    /// interned into dense per-queue policy domains (see
     /// [`SystemConfig::policy_table`]). The hot path indexes it by the
     /// domain id the NIC stamped into the packet's DMA plan.
     policy: PolicyTable,
@@ -442,46 +442,36 @@ impl System {
             });
             regions.push(q);
         }
-        let queue_cores: Vec<CoreId> = cfg.workloads.iter().map(|w| w.core).collect();
-        // Resolve the policy layers (system default → per-tenant →
-        // per-queue) once, into a dense per-queue domain array. The NIC
-        // stamps each packet's domain into its DMA plan; the hot path
-        // does a single index into the table.
+        let mut queue_cores: Vec<CoreId> = cfg.workloads.iter().map(|w| w.core).collect();
+        // Resolve the policy layers (system default → per-tenant) once,
+        // into a dense per-queue domain array. The NIC stamps each
+        // packet's domain into its DMA plan; the hot path does a single
+        // index into the table.
         let policy = cfg.policy_table();
-        let mut nic = if cfg.workloads.is_empty() {
-            // Antagonist-only runs still need a (dormant) NIC.
+        let mut queue_domains = policy.queue_domains().to_vec();
+        if cfg.workloads.is_empty() {
+            // Antagonist-only runs still need a (dormant) NIC queue.
             let q = map.alloc_queue(cfg.ring_size);
-            Nic::new(
-                NicConfig {
-                    ring_size: cfg.ring_size,
-                    queue_core: vec![CoreId::new(0)],
-                    classifier: cfg.classifier.clone(),
-                    dma: cfg.dma,
-                    perfect_filter_entries: cfg.perfect_filter_entries,
-                    filter_table_entries: idio_nic::flow_director::DEFAULT_FILTER_TABLE_ENTRIES,
-                    atr_lifetime: cfg.atr_lifetime,
-                    queue_policy_domain: vec![0],
-                },
-                vec![RingLayout {
-                    buf_base: q.buf_base,
-                    desc_base: q.desc_base,
-                }],
-            )
-        } else {
-            Nic::new(
-                NicConfig {
-                    ring_size: cfg.ring_size,
-                    queue_core: queue_cores,
-                    classifier: cfg.classifier.clone(),
-                    dma: cfg.dma,
-                    perfect_filter_entries: cfg.perfect_filter_entries,
-                    filter_table_entries: idio_nic::flow_director::DEFAULT_FILTER_TABLE_ENTRIES,
-                    atr_lifetime: cfg.atr_lifetime,
-                    queue_policy_domain: policy.queue_domains().to_vec(),
-                },
-                layouts,
-            )
-        };
+            layouts.push(RingLayout {
+                buf_base: q.buf_base,
+                desc_base: q.desc_base,
+            });
+            queue_cores.push(CoreId::new(0));
+            queue_domains.push(0);
+        }
+        let mut nic = Nic::new(
+            NicConfig {
+                ring_size: cfg.ring_size,
+                queue_core: queue_cores,
+                classifier: cfg.classifier.clone(),
+                dma: cfg.dma,
+                perfect_filter_entries: cfg.perfect_filter_entries,
+                filter_table_entries: idio_nic::flow_director::DEFAULT_FILTER_TABLE_ENTRIES,
+                atr_lifetime: cfg.atr_lifetime,
+                queue_policy_domain: queue_domains,
+            },
+            layouts,
+        );
 
         // --- traffic generators & flow pinning --------------------------------
         // One aggregate source per tenant, its flows spread round-robin
@@ -2116,6 +2106,14 @@ mod tests {
         cfg
     }
 
+    /// `cfg` spelled as its single-flow tenants (one per queue, the same
+    /// arrivals), with queue 0's tenant overriding the policy to `caps`.
+    fn queue0_runs(mut cfg: SystemConfig, caps: PolicyCaps) -> SystemConfig {
+        cfg.tenants = cfg.arrival_tenants().into_owned();
+        cfg.tenants[0].policy = Some(crate::policy::PolicySpec::Custom(caps));
+        cfg
+    }
+
     #[test]
     fn steady_ddio_processes_packets() {
         let report = System::new(steady_cfg(10.0, SteeringPolicy::Ddio)).run();
@@ -2184,13 +2182,11 @@ mod tests {
 
     #[test]
     fn cat_auto_partitions_cores_and_exports_metrics() {
-        use crate::policy::PolicySpec;
         let caps = PolicyCaps {
             cat: CatMode::Auto,
             ..SteeringPolicy::Idio.caps()
         };
-        let cfg =
-            steady_cfg(10.0, SteeringPolicy::Idio).with_queue_policy(0, PolicySpec::Custom(caps));
+        let cfg = queue0_runs(steady_cfg(10.0, SteeringPolicy::Idio), caps);
         let sys = System::new(cfg);
         // Core 0 (the auto domain) holds an exclusive slice; core 1 is
         // pushed to the shared pool — the masks never overlap, and both
@@ -2213,14 +2209,12 @@ mod tests {
 
     #[test]
     fn cat_static_masks_restrict_only_their_own_cores() {
-        use crate::policy::PolicySpec;
         use idio_cache::set::WayMask;
         let caps = PolicyCaps {
             cat: CatMode::Static(WayMask::range(4, 8)),
             ..SteeringPolicy::Ddio.caps()
         };
-        let cfg =
-            steady_cfg(10.0, SteeringPolicy::Ddio).with_queue_policy(0, PolicySpec::Custom(caps));
+        let cfg = queue0_runs(steady_cfg(10.0, SteeringPolicy::Ddio), caps);
         let sys = System::new(cfg);
         assert_eq!(
             sys.hier.cat_mask(CoreId::new(0)),

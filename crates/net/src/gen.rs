@@ -500,17 +500,8 @@ impl FlowSet {
     }
 }
 
-/// How a [`MultiFlowGen`] produces its flow population.
-#[derive(Debug, Clone)]
-enum FlowBacking {
-    /// A materialised flow list (legacy small populations and replay).
-    Explicit(Vec<FlowSpec>),
-    /// A streaming [`FlowSet`] (O(1) memory at any flow count).
-    Stream(FlowSet),
-}
-
 /// A deterministic multi-flow generator: one aggregate arrival pattern
-/// dealt over a flow population.
+/// dealt over a streaming [`FlowSet`].
 ///
 /// The timing of the merged stream is *exactly* that of a single
 /// [`TrafficGen`] driven by `pattern` (so a tenant's aggregate offered
@@ -520,9 +511,8 @@ enum FlowBacking {
 /// the flow director (or hashed there by RSS), so consecutive packets
 /// fan out over the tenant's cores.
 ///
-/// The population is either an explicit [`FlowSpec`] list (dealt
-/// round-robin) or a streaming [`FlowSet`], which adds packet trains and
-/// flow churn on top of the same rotation.
+/// Flows are dealt round-robin over the set's active slots, with the
+/// set's packet trains and flow churn on top of the rotation.
 ///
 /// Packet ids stay monotonic across the merged stream.
 ///
@@ -530,10 +520,11 @@ enum FlowBacking {
 ///
 /// ```
 /// use idio_engine::time::SimTime;
-/// use idio_net::gen::{FlowSpec, MultiFlowGen, TrafficPattern};
+/// use idio_net::gen::{FlowSet, MultiFlowGen, TrafficPattern};
+/// use idio_net::packet::Dscp;
 ///
-/// let flows: Vec<_> = (0..3).map(|i| FlowSpec::udp_to_port(6000 + i, 1514)).collect();
-/// let mut g = MultiFlowGen::new(flows, TrafficPattern::Steady { rate_gbps: 10.0 }, SimTime::from_us(50));
+/// let flows = FlowSet::new(0, 3, 6000, 1514, Dscp::BEST_EFFORT);
+/// let mut g = MultiFlowGen::streaming(flows, TrafficPattern::Steady { rate_gbps: 10.0 }, SimTime::from_us(50));
 /// let a = g.next().unwrap();
 /// let b = g.next().unwrap();
 /// assert_ne!(a.packet.flow, b.packet.flow);
@@ -542,36 +533,14 @@ enum FlowBacking {
 #[derive(Debug, Clone)]
 pub struct MultiFlowGen {
     inner: TrafficGen,
-    backing: FlowBacking,
-    /// Rotation cursor: index into the explicit list, or the active slot
-    /// of a streaming set.
+    set: FlowSet,
+    /// Rotation cursor: the active slot of the set.
     cursor: u32,
-    /// Packets left before the cursor rotates (streaming trains).
+    /// Packets left before the cursor rotates (trains).
     train_left: u32,
 }
 
 impl MultiFlowGen {
-    /// Creates a generator dealing `pattern` arrivals round-robin over an
-    /// explicit `flows` list until `until` (exclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flows` is empty or the flows disagree on frame length
-    /// (the aggregate pattern's wire timing is per-frame).
-    pub fn new(flows: Vec<FlowSpec>, pattern: TrafficPattern, until: SimTime) -> Self {
-        assert!(!flows.is_empty(), "a tenant needs at least one flow");
-        assert!(
-            flows.iter().all(|f| f.packet_len == flows[0].packet_len),
-            "flows of one generator must share a frame length"
-        );
-        MultiFlowGen {
-            inner: TrafficGen::new(flows[0], pattern, until),
-            backing: FlowBacking::Explicit(flows),
-            cursor: 0,
-            train_left: 1,
-        }
-    }
-
     /// Creates a generator dealing `pattern` arrivals over a streaming
     /// [`FlowSet`] until `until` (exclusive).
     pub fn streaming(set: FlowSet, pattern: TrafficPattern, until: SimTime) -> Self {
@@ -582,26 +551,9 @@ impl MultiFlowGen {
         };
         MultiFlowGen {
             inner: TrafficGen::new(timing, pattern, until),
-            backing: FlowBacking::Stream(set),
+            set,
             cursor: 0,
             train_left: set.train,
-        }
-    }
-
-    /// The explicit flow list, when one backs this generator (empty for
-    /// streaming sets — their population is derived, not stored).
-    pub fn flows(&self) -> &[FlowSpec] {
-        match &self.backing {
-            FlowBacking::Explicit(flows) => flows,
-            FlowBacking::Stream(_) => &[],
-        }
-    }
-
-    /// The streaming flow set, when one backs this generator.
-    pub fn flow_set(&self) -> Option<&FlowSet> {
-        match &self.backing {
-            FlowBacking::Explicit(_) => None,
-            FlowBacking::Stream(set) => Some(set),
         }
     }
 }
@@ -611,26 +563,16 @@ impl Iterator for MultiFlowGen {
 
     fn next(&mut self) -> Option<Arrival> {
         let a = self.inner.next()?;
-        let (tuple, dscp, len) = match &self.backing {
-            FlowBacking::Explicit(flows) => {
-                let spec = flows[self.cursor as usize];
-                self.cursor = (self.cursor + 1) % flows.len() as u32;
-                (spec.tuple, spec.dscp, spec.packet_len)
-            }
-            FlowBacking::Stream(set) => {
-                let idx = set.index_at(self.cursor, a.at);
-                let tuple = set.tuple_of(idx);
-                self.train_left -= 1;
-                if self.train_left == 0 {
-                    self.cursor = (self.cursor + 1) % set.flows;
-                    self.train_left = set.train;
-                }
-                (tuple, set.dscp, set.packet_len)
-            }
-        };
+        let set = &self.set;
+        let tuple = set.tuple_of(set.index_at(self.cursor, a.at));
+        self.train_left -= 1;
+        if self.train_left == 0 {
+            self.cursor = (self.cursor + 1) % set.flows;
+            self.train_left = set.train;
+        }
         Some(Arrival {
             at: a.at,
-            packet: Packet::new(a.packet.id, len, tuple, dscp),
+            packet: Packet::new(a.packet.id, set.packet_len, tuple, set.dscp),
         })
     }
 }
@@ -758,36 +700,42 @@ mod tests {
         assert!(times.windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// The reference rotation: a single-flow `TrafficGen`'s schedule and
+    /// ids, with arrival `i` re-addressed to port `base_port + i % flows`
+    /// — the materialised flow list a narrow `FlowSet` replaces.
+    fn rotated_reference(
+        flows: u16,
+        base_port: u16,
+        dscp: Dscp,
+        pattern: TrafficPattern,
+        until: SimTime,
+    ) -> Vec<Arrival> {
+        TrafficGen::new(flow(), pattern, until)
+            .enumerate()
+            .map(|(i, a)| {
+                let spec = FlowSpec::udp_to_port(base_port + i as u16 % flows, 1514);
+                Arrival {
+                    at: a.at,
+                    packet: Packet::new(a.packet.id, 1514, spec.tuple, dscp),
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn multi_flow_keeps_aggregate_timing_and_rotates_flows() {
         let until = SimTime::from_us(60);
         let pattern = TrafficPattern::Steady { rate_gbps: 25.0 };
-        let single: Vec<_> = TrafficGen::new(flow(), pattern, until).collect();
-        let flows: Vec<_> = (0..3)
-            .map(|i| FlowSpec::udp_to_port(6000 + i, 1514).with_dscp(Dscp::CLASS1_DEFAULT))
-            .collect();
-        let multi: Vec<_> = MultiFlowGen::new(flows.clone(), pattern, until).collect();
-        assert_eq!(multi.len(), single.len(), "same aggregate offered load");
-        for (i, (s, m)) in single.iter().zip(&multi).enumerate() {
-            assert_eq!(m.at, s.at, "arrival {i} keeps the aggregate schedule");
+        let reference = rotated_reference(3, 6000, Dscp::CLASS1_DEFAULT, pattern, until);
+        let set = FlowSet::new(0, 3, 6000, 1514, Dscp::CLASS1_DEFAULT);
+        let multi: Vec<_> = MultiFlowGen::streaming(set, pattern, until).collect();
+        assert_eq!(multi.len(), reference.len(), "same aggregate offered load");
+        for (i, (r, m)) in reference.iter().zip(&multi).enumerate() {
+            assert_eq!(m.at, r.at, "arrival {i} keeps the aggregate schedule");
             assert_eq!(m.packet.id, i as u64, "ids monotonic across flows");
-            assert_eq!(m.packet.flow, flows[i % 3].tuple, "round-robin dealing");
+            assert_eq!(m.packet.flow, r.packet.flow, "round-robin dealing");
             assert_eq!(m.packet.dscp, Dscp::CLASS1_DEFAULT);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "share a frame length")]
-    fn multi_flow_rejects_mixed_frame_lengths() {
-        let flows = vec![
-            FlowSpec::udp_to_port(6000, 1514),
-            FlowSpec::udp_to_port(6001, 256),
-        ];
-        let _ = MultiFlowGen::new(
-            flows,
-            TrafficPattern::Steady { rate_gbps: 10.0 },
-            SimTime::from_us(10),
-        );
     }
 
     #[test]
@@ -818,10 +766,7 @@ mod tests {
             rate_gbps: 25.0,
             seed: 9,
         };
-        let flows: Vec<_> = (0..5)
-            .map(|i| FlowSpec::udp_to_port(6000 + i, 1514).with_dscp(Dscp::CLASS1_DEFAULT))
-            .collect();
-        let explicit: Vec<_> = MultiFlowGen::new(flows, pattern, until).collect();
+        let explicit = rotated_reference(5, 6000, Dscp::CLASS1_DEFAULT, pattern, until);
         let set = FlowSet::new(0, 5, 6000, 1514, Dscp::CLASS1_DEFAULT);
         let streamed: Vec<_> = MultiFlowGen::streaming(set, pattern, until).collect();
         assert_eq!(explicit, streamed);

@@ -89,13 +89,40 @@ impl PoolSpec {
         }
     }
 
-    /// The scenario-file spelling (`"dram"`, `"recycle"`, `"recycle:N"`).
+    /// The scenario-file and `simulate --pool` spelling (`"dram"`,
+    /// `"recycle"`, `"recycle:N"`).
     pub fn file_name(self) -> String {
         match self {
             PoolSpec::Dram => "dram".into(),
             PoolSpec::Recycle { slots: None } => "recycle".into(),
             PoolSpec::Recycle { slots: Some(n) } => format!("recycle:{n}"),
         }
+    }
+
+    /// Parses a [`PoolSpec::file_name`] spelling.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown spelling, a slot count that is not
+    /// a `u32`, or a zero-slot recycle pool.
+    pub fn from_name(s: &str) -> Result<Self, String> {
+        match s {
+            "dram" => return Ok(PoolSpec::Dram),
+            "recycle" => return Ok(PoolSpec::Recycle { slots: None }),
+            _ => {}
+        }
+        let Some(n) = s.strip_prefix("recycle:") else {
+            return Err(format!(
+                "unknown pool '{s}' (expected dram|recycle|recycle:<slots>)"
+            ));
+        };
+        let slots: u32 = n
+            .parse()
+            .map_err(|_| format!("recycle pool size '{n}' is not a u32"))?;
+        if slots == 0 {
+            return Err("recycle pool needs at least one slot".into());
+        }
+        Ok(PoolSpec::Recycle { slots: Some(slots) })
     }
 }
 
@@ -475,5 +502,19 @@ mod tests {
             PoolSpec::Recycle { slots: Some(12) }.file_name(),
             "recycle:12"
         );
+        for spec in [
+            PoolSpec::Dram,
+            PoolSpec::Recycle { slots: None },
+            PoolSpec::Recycle { slots: Some(12) },
+        ] {
+            assert_eq!(PoolSpec::from_name(&spec.file_name()), Ok(spec));
+        }
+        for (bad, why) in [
+            ("hugepages", "unknown pool"),
+            ("recycle:x", "is not a u32"),
+            ("recycle:0", "at least one slot"),
+        ] {
+            assert!(PoolSpec::from_name(bad).unwrap_err().contains(why), "{bad}");
+        }
     }
 }

@@ -865,38 +865,9 @@ fn parse_chain(e: &Entry) -> Result<NfKind, SpecError> {
     Ok(NfKind::Chain(chain))
 }
 
-/// Parses a `pool` spelling: `"dram"`, `"recycle"`, or `"recycle:N"`.
-fn parse_pool(s: &str, pos: Pos) -> Result<PoolSpec, SpecError> {
-    match s {
-        "dram" => return Ok(PoolSpec::Dram),
-        "recycle" => return Ok(PoolSpec::Recycle { slots: None }),
-        _ => {}
-    }
-    if let Some(n) = s.strip_prefix("recycle:") {
-        let slots: u32 = n
-            .parse()
-            .map_err(|_| SpecError::new(pos, format!("recycle pool size '{n}' is not a u32")))?;
-        if slots == 0 {
-            return Err(SpecError::new(pos, "recycle pool needs at least one slot"));
-        }
-        return Ok(PoolSpec::Recycle { slots: Some(slots) });
-    }
-    Err(SpecError::new(
-        pos,
-        format!("unknown pool '{s}' (expected dram|recycle|recycle:<slots>)"),
-    ))
-}
-
 fn policy_file_name(spec: PolicySpec) -> String {
     match spec {
-        PolicySpec::Preset(p) => match p {
-            SteeringPolicy::Ddio => "ddio".into(),
-            SteeringPolicy::InvalidateOnly => "invalidate".into(),
-            SteeringPolicy::PrefetchOnly => "prefetch".into(),
-            SteeringPolicy::StaticIdio => "static".into(),
-            SteeringPolicy::Idio => "idio".into(),
-            SteeringPolicy::IatDynamic => "iat".into(),
-        },
+        PolicySpec::Preset(p) => p.name().into(),
         // The custom form is exactly PolicySpec::label, which
         // parse_policy_spec accepts back.
         custom => custom.label(),
@@ -1120,7 +1091,9 @@ fn build_tenant(
         (None, None) => return Err(missing(t, "tenant", "nf")),
     };
     let pool = match t.get("pool") {
-        Some(e) => Some(parse_pool(want_str(e)?, e.val_pos)?),
+        Some(e) => {
+            Some(PoolSpec::from_name(want_str(e)?).map_err(|err| SpecError::new(e.val_pos, err))?)
+        }
         None => None,
     };
     let cores_entry = t

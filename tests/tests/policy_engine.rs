@@ -2,8 +2,8 @@
 //!
 //! The contract being locked: the six named policies are pure *presets*
 //! over `PolicyCaps`, and a configuration that only uses presets — whether
-//! expressed globally, as per-tenant overrides, or as per-queue overrides
-//! — must behave bit-for-bit like the old global `SteeringPolicy` enum.
+//! expressed globally or as per-tenant overrides — must behave
+//! bit-for-bit like the old global `SteeringPolicy` enum.
 
 use idio_core::config::{SystemConfig, TenantSpec};
 use idio_core::net::gen::TrafficPattern;
@@ -77,9 +77,8 @@ fn preset_caps_match_the_legacy_capability_matrix() {
     }
 }
 
-/// A global preset, the same preset written as a per-tenant override on
-/// every tenant, and the same preset written as a per-queue override on
-/// every queue must all produce byte-identical runs. This is the
+/// A global preset and the same preset written as a per-tenant override
+/// on every tenant must produce byte-identical runs. This is the
 /// equivalence that keeps every pre-existing golden valid.
 #[test]
 fn preset_overrides_are_equivalent_to_the_global_policy() {
@@ -94,23 +93,11 @@ fn preset_overrides_are_equivalent_to_the_global_policy() {
         }
         let by_tenant = System::new(by_tenant).run();
 
-        let mut by_queue = tenant_cfg(policy);
-        for q in 0..by_queue.workloads.len() {
-            by_queue.queue_policies.insert(q, spec);
-        }
-        let by_queue = System::new(by_queue).run();
-
         assert_eq!(global.totals, by_tenant.totals, "{policy}: tenant layer");
-        assert_eq!(global.totals, by_queue.totals, "{policy}: queue layer");
         assert_eq!(
             global.metrics.to_json(),
             by_tenant.metrics.to_json(),
             "{policy}: tenant-layer metrics diverged"
-        );
-        assert_eq!(
-            global.metrics.to_json(),
-            by_queue.metrics.to_json(),
-            "{policy}: queue-layer metrics diverged"
         );
     }
 }
