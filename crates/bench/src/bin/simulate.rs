@@ -173,7 +173,16 @@ fn parse() -> Result<Args, String> {
             }
             "--ring" => args.ring = val("--ring")?.parse().map_err(|e| format!("{e}"))?,
             "--packet" => args.packet = val("--packet")?.parse().map_err(|e| format!("{e}"))?,
-            "--cores" => args.cores = val("--cores")?.parse().map_err(|e| format!("{e}"))?,
+            "--cores" => {
+                args.cores = val("--cores")?.parse().map_err(|e| format!("{e}"))?;
+                let max = usize::from(u16::MAX - BASE_PORT) + 1;
+                if args.cores > max {
+                    return Err(format!(
+                        "--cores {} exceeds {max}: core i receives on UDP port {BASE_PORT} + i",
+                        args.cores
+                    ));
+                }
+            }
             "--duration-ms" => {
                 args.duration_ms = val("--duration-ms")?.parse().map_err(|e| format!("{e}"))?
             }
@@ -238,8 +247,11 @@ impl Sink {
     }
 }
 
+/// Core `i`'s single flow arrives on UDP port `BASE_PORT + i`.
+const BASE_PORT: u16 = 5000;
+
 /// The flags as a scenario: one single-flow tenant per core `i` on UDP
-/// port `5000 + i`, carrying the NF, frame size, DSCP and pool flags, with
+/// port `BASE_PORT + i`, carrying the NF, frame size, DSCP and pool flags, with
 /// `--queue-policy` / `--queue-pool` as overrides of tenant `q`.
 fn scenario(args: &Args, traffic: TrafficPattern) -> Result<Scenario, String> {
     let dscp = if args.class1 {
@@ -255,7 +267,7 @@ fn scenario(args: &Args, traffic: TrafficPattern) -> Result<Scenario, String> {
                 args.nf,
                 vec![i],
                 1,
-                5000 + i,
+                BASE_PORT + i,
                 traffic,
                 args.packet,
             )

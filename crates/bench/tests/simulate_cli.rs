@@ -34,6 +34,24 @@ fn zero_cores_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn core_counts_past_the_port_range_are_rejected() {
+    // Core i receives on UDP port 5000 + i: 60536 cores end at port
+    // 65535. Only the rejection is run; a valid count this large would
+    // build an enormous system.
+    for cores in ["65537", "60537"] {
+        assert_rejected(
+            &["--cores", cores, "--duration-ms", "1"],
+            &format!("--cores {cores} exceeds 60536"),
+        );
+    }
+}
+
+#[test]
+fn a_zero_horizon_is_rejected() {
+    assert_rejected(&["--duration-ms", "0"], "duration must be positive");
+}
+
+#[test]
 fn frames_larger_than_the_dma_buffer_are_rejected() {
     assert_rejected(
         &["--packet", "4096", "--duration-ms", "1"],

@@ -386,6 +386,9 @@ impl SystemConfig {
         if self.ring_size == 0 {
             return Err("ring size must be positive".into());
         }
+        if self.duration == SimTime::ZERO {
+            return Err("duration must be positive".into());
+        }
         for (i, w) in self.workloads.iter().enumerate() {
             if let Some(PoolSpec::Recycle { slots: Some(0) }) = w.pool {
                 return Err(format!("workload {i}: recycle pool with zero slots"));

@@ -25,7 +25,7 @@ use idio_net::gen::{Arrival, FlowSet, MultiFlowGen, TrafficPattern};
 use idio_net::packet::Packet;
 use idio_nic::flow_director::{QueueId, SteeringSource};
 use idio_nic::nic::{Nic, NicConfig, RingLayout};
-use idio_nic::ring::RxSlot;
+use idio_nic::ring::{RxSlot, BUF_LINES, DEFAULT_BUF_BYTES};
 use idio_nic::tlp::TlpMeta;
 use idio_nic::tx::TxRing;
 use idio_pool::{BufPool, PoolMode};
@@ -38,7 +38,7 @@ use crate::controller::{CatConfig, CatController, IdioController, Placement};
 use crate::fsm::MlcStatus;
 use crate::layout::{AddressMap, QueueRegions};
 use crate::policy::{CatMode, PolicyCaps, PolicyTable};
-use crate::prefetcher::{HintArena, MlcPrefetcher};
+use crate::prefetcher::{HintArena, MlcPrefetcher, PrefetchPacing};
 use crate::report::{
     BurstTracker, EventTypeProfile, LatencySummary, RunReport, RunTotals, Timelines,
 };
@@ -49,34 +49,7 @@ enum Event {
     /// The next packet of traffic generator `gen` arrives at the NIC.
     Arrival { gen: usize },
     /// The inbound PCIe line writes of one packet's payload, batched.
-    ///
-    /// Scheduled at the first line's arrival; the handler applies each
-    /// line at its own timestamp (`first + gap * i`), yielding via a
-    /// continuation whenever an interleaved event sorts earlier, so the
-    /// observable ordering is identical to the per-line events this
-    /// replaces — the continuation keeps `batch_seq`, the batch's
-    /// original queue sequence number, as its tie-break.
-    DmaPacket {
-        /// First buffer line; line `i` is `buf_line + i`.
-        buf_line: LineAddr,
-        /// Header-line TLP metadata; payload-line metadata is derived.
-        meta: TlpMeta,
-        arrival: SimTime,
-        /// Per-queue packet sequence number (for CPU-paced prefetching).
-        seq: u64,
-        /// Time line 0 reaches the root complex.
-        first: SimTime,
-        /// Gap between consecutive lines.
-        gap: Duration,
-        /// Total payload lines.
-        lines: u32,
-        /// Index of the next line to apply (continuation resume point).
-        next: u32,
-        /// The batch's original queue sequence number.
-        batch_seq: u64,
-        /// Resolved steering-policy domain of the packet's queue.
-        domain: u16,
-    },
+    DmaPacket(DmaBatch),
     /// A descriptor writeback becomes visible to the polling driver.
     DescWriteback { queue: QueueId, slot: u32 },
     /// A core's MLC prefetcher issues its next queued prefetch.
@@ -124,7 +97,7 @@ impl Event {
             // The batch event keeps the per-line name: the handler bumps
             // the count by the extra lines it applies, so the
             // `engine.events.dma_line` metric still counts DMA lines.
-            Event::DmaPacket { .. } => 1,
+            Event::DmaPacket(_) => 1,
             Event::DescWriteback { .. } => 2,
             Event::PrefetchIssue { .. } => 3,
             Event::CoreWake { .. } => 4,
@@ -136,18 +109,37 @@ impl Event {
     }
 }
 
-/// The unpacked fields of an [`Event::DmaPacket`] minus the resume
-/// point — the batch identity that continuations carry forward.
+// `TlpMeta`'s bools give the enum a niche: the batch costs no tag word.
+const _: () = assert!(std::mem::size_of::<Event>() == 64);
+
+/// One packet's payload DMA, as one event.
+///
+/// Scheduled at the first line's arrival; the handler applies each line
+/// at its own timestamp (`first + gap * i`), yielding via a continuation
+/// whenever an interleaved event sorts earlier, so the observable ordering
+/// is identical to one event per line — the continuation keeps
+/// `batch_seq`, the batch's original queue sequence number, as its
+/// tie-break.
 #[derive(Debug, Clone, Copy)]
 struct DmaBatch {
+    /// First buffer line; line `i` is `buf_line + i`.
     buf_line: LineAddr,
+    /// Header-line TLP metadata; payload-line metadata is derived.
     meta: TlpMeta,
     arrival: SimTime,
+    /// Per-queue packet sequence number (for CPU-paced prefetching).
     seq: u64,
+    /// Time line 0 reaches the root complex.
     first: SimTime,
+    /// Gap between consecutive lines.
     gap: Duration,
+    /// Total payload lines.
     lines: u32,
+    /// Index of the next line to apply (continuation resume point).
+    next: u32,
+    /// The batch's original queue sequence number.
     batch_seq: u64,
+    /// Resolved steering-policy domain of the packet's queue.
     domain: u16,
 }
 
@@ -182,6 +174,19 @@ struct FdTenant {
     pinned: Vec<(u32, u32)>,
 }
 
+impl FdTenant {
+    /// The home queue of flow slot `slot`: slots deal round-robin over
+    /// the tenant's queues.
+    fn home(&self, slot: u32) -> QueueId {
+        self.queues[slot as usize % self.queues.len()]
+    }
+
+    /// The home queue of `flow`, if it is one of this tenant's flows.
+    fn home_of(&self, flow: &idio_net::packet::FiveTuple) -> Option<QueueId> {
+        self.set.slot_of(flow).map(|slot| self.home(slot))
+    }
+}
+
 /// Flow-director-pressure accounting (active only when some tenant's flow
 /// population can outrun the NIC's steering state: wide/churning flow
 /// sets or more flows than perfect-filter budget). Tracks, per *home*
@@ -200,12 +205,7 @@ impl FdState {
     /// The tenant and home queue a five-tuple belongs to (O(1) per
     /// tenant: streaming sets are invertible).
     fn home_of(&self, flow: &idio_net::packet::FiveTuple) -> Option<QueueId> {
-        for t in self.tenants.iter().flatten() {
-            if let Some(slot) = t.set.slot_of(flow) {
-                return Some(t.queues[slot as usize % t.queues.len()]);
-            }
-        }
-        None
+        self.tenants.iter().flatten().find_map(|t| t.home_of(flow))
     }
 }
 
@@ -426,62 +426,132 @@ impl System {
         let effective_hierarchy = cfg.effective_hierarchy();
         let num_cores = effective_hierarchy.num_cores;
         let mut hier = Hierarchy::new(effective_hierarchy);
-        let mut dram = DramModel::new(cfg.dram);
-        let mut page_table = PageTable::new();
-        let mut rng = SimRng::seed_from(cfg.seed);
-
-        // --- address map & NIC ------------------------------------------------
-        let mut map = AddressMap::new();
-        let mut layouts = Vec::new();
-        let mut regions = Vec::new();
-        for _ in &cfg.workloads {
-            let q = map.alloc_queue(cfg.ring_size);
-            layouts.push(RingLayout {
-                buf_base: q.buf_base,
-                desc_base: q.desc_base,
-            });
-            regions.push(q);
-        }
-        let mut queue_cores: Vec<CoreId> = cfg.workloads.iter().map(|w| w.core).collect();
         // Resolve the policy layers (system default → per-tenant) once,
         // into a dense per-queue domain array. The NIC stamps each
         // packet's domain into its DMA plan; the hot path does a single
         // index into the table.
         let policy = cfg.policy_table();
-        let mut queue_domains = policy.queue_domains().to_vec();
-        if cfg.workloads.is_empty() {
-            // Antagonist-only runs still need a (dormant) NIC queue.
-            let q = map.alloc_queue(cfg.ring_size);
-            layouts.push(RingLayout {
-                buf_base: q.buf_base,
-                desc_base: q.desc_base,
-            });
-            queue_cores.push(CoreId::new(0));
-            queue_domains.push(0);
+        let (mut map, regions, mut nic) = Self::build_nic(&cfg, &policy);
+        let (gens, fd) = Self::build_arrivals(&cfg, &mut nic);
+        let (page_table, nf) = Self::build_queues(&cfg, &regions, num_cores, &mut hier, &mut nic);
+        let antagonist = Self::build_antagonist(&cfg, &mut map, &mut hier);
+        let (ctrl, prefetchers, hints, cat, core_domain) =
+            Self::build_control(&cfg, &policy, num_cores);
+        let (bursts, core_bursts) = Self::build_burst_trackers(&cfg, num_cores);
+        let mut system = System {
+            queue: EventQueue::new(),
+            pending_arrival: vec![None; gens.len()],
+            gens,
+            hier,
+            dram: DramModel::new(cfg.dram),
+            nic,
+            page_table,
+            ctrl,
+            prefetchers,
+            timing: CoreTiming::new(cfg.timing),
+            nf,
+            antagonist,
+            samplers: Samplers::new(cfg.sample_interval),
+            bursts,
+            core_bursts,
+            hard_stop: cfg.duration + cfg.drain_grace,
+            // Only the workloads' queues: an antagonist-only run's dormant
+            // queue never receives DMA.
+            dma_line_ranges: regions[..cfg.workloads.len()]
+                .iter()
+                .map(|r| {
+                    let (lo, hi) = r.buf_range();
+                    (lo.line().get(), hi.line().get())
+                })
+                .collect(),
+            sample_ticks: 0,
+            iat: vec![(0, 0, 0); policy.num_domains()],
+            cat,
+            core_domain,
+            cat_ddio: 0,
+            policy,
+            metrics: MetricsRegistry::new(),
+            tracer: if cfg.trace.is_off() {
+                Tracer::disabled()
+            } else {
+                Tracer::new(cfg.trace.clone(), DEFAULT_TRACE_CAPACITY)
+            },
+            ev_counts: [0; Event::TYPES],
+            ev_wall: [std::time::Duration::ZERO; Event::TYPES],
+            steer: vec![[0; 3]; num_cores],
+            hints,
+            ctrl_wbs: Vec::with_capacity(num_cores),
+            ctrl_domain_wb: Vec::new(),
+            ctrl_fsm_before: Vec::new(),
+            tick_log: Vec::new(),
+            tick_last_steer: [0; 3],
+            fd,
+            tick_last_fd: [0; 5],
+            pool_last_active: vec![SimTime::ZERO; cfg.workloads.len()],
+            pool_flushed: vec![false; cfg.workloads.len()],
+            pool_idle_flushed: vec![0; cfg.workloads.len()],
+            cfg,
+        };
+        // The occupancy gauge counts DMA-buffer lines resident in the
+        // LLC; tracking the ranges in the array keeps that a counter
+        // read instead of a full-LLC scan every sample tick.
+        system.hier.track_llc_ranges(&system.dma_line_ranges);
+        if system.policy.any_cat() {
+            system.apply_cat_masks();
         }
-        let mut nic = Nic::new(
+        system.schedule_initial();
+        system
+    }
+
+    /// Build stage: the address map, one queue's regions per workload,
+    /// and the NIC over them. An antagonist-only run still gets one
+    /// (dormant) queue, on core 0 in policy domain 0.
+    fn build_nic(cfg: &SystemConfig, policy: &PolicyTable) -> (AddressMap, Vec<QueueRegions>, Nic) {
+        let mut map = AddressMap::new();
+        let queues = cfg.workloads.len().max(1);
+        let regions: Vec<QueueRegions> = (0..queues)
+            .map(|_| map.alloc_queue(cfg.ring_size))
+            .collect();
+        let nic = Nic::new(
             NicConfig {
                 ring_size: cfg.ring_size,
-                queue_core: queue_cores,
+                queue_core: (0..queues)
+                    .map(|q| cfg.workloads.get(q).map_or(CoreId::new(0), |w| w.core))
+                    .collect(),
                 classifier: cfg.classifier.clone(),
                 dma: cfg.dma,
                 perfect_filter_entries: cfg.perfect_filter_entries,
                 filter_table_entries: idio_nic::flow_director::DEFAULT_FILTER_TABLE_ENTRIES,
                 atr_lifetime: cfg.atr_lifetime,
-                queue_policy_domain: queue_domains,
+                queue_policy_domain: (0..queues)
+                    .map(|q| policy.queue_domains().get(q).copied().unwrap_or(0))
+                    .collect(),
             },
-            layouts,
+            regions
+                .iter()
+                .map(|q| RingLayout {
+                    buf_base: q.buf_base,
+                    desc_base: q.desc_base,
+                })
+                .collect(),
         );
+        (map, regions, nic)
+    }
 
-        // --- traffic generators & flow pinning --------------------------------
-        // One aggregate source per tenant, its flows spread round-robin
-        // over the tenant's queues via the flow director (or left to
-        // RSS/ATR learning). Flow populations stream from a `FlowSet` —
-        // five-tuples derived on demand, so memory stays O(1) at any flow
-        // count. Perfect-filter slots are a shared resource: each tenant
-        // may pin at most its equal share of the NIC's table, sampled
-        // evenly across its flow index space; the rest of its flows steer
-        // via ATR learning and RSS (Sec. II-C's capacity pressure).
+    /// Build stage: one aggregate arrival source per tenant, its flows
+    /// pinned to the NIC's flow director, and the flow-director-pressure
+    /// accounting (`None` when every tenant's flows fit the NIC's
+    /// steering state).
+    ///
+    /// A tenant's flows spread round-robin over its queues via the flow
+    /// director (or are left to RSS/ATR learning). Flow populations
+    /// stream from a `FlowSet` — five-tuples derived on demand, so memory
+    /// stays O(1) at any flow count. Perfect-filter slots are a shared
+    /// resource: each tenant may pin at most its equal share of the NIC's
+    /// table, sampled evenly across its flow index space; the rest of its
+    /// flows steer via ATR learning and RSS (Sec. II-C's capacity
+    /// pressure).
+    fn build_arrivals(cfg: &SystemConfig, nic: &mut Nic) -> (Vec<ArrivalSource>, Option<FdState>) {
         let tenants = cfg.arrival_tenants();
         let mut gens = Vec::with_capacity(tenants.len());
         let pin_budget = (cfg.perfect_filter_entries / tenants.len().max(1)).max(1);
@@ -517,7 +587,11 @@ impl System {
                     set = set.with_churn(life);
                 }
                 let pins = (t.flows as usize).min(pin_budget) as u32;
-                let mut pinned = Vec::with_capacity(pins as usize);
+                let mut fdt = FdTenant {
+                    set,
+                    queues,
+                    pinned: Vec::with_capacity(pins as usize),
+                };
                 if cfg.steering == FlowSteering::Perfect {
                     for p in 0..u64::from(pins) {
                         // Stride the pins across the whole index space
@@ -525,20 +599,15 @@ impl System {
                         // ATR/RSS-steered flows instead of truncating
                         // at the budget boundary.
                         let slot = (p * u64::from(t.flows) / u64::from(pins)) as u32;
-                        let q = queues[slot as usize % queues.len()];
                         nic.flow_director_mut()
-                            .install_perfect(set.tuple_of(slot), q);
-                        pinned.push((slot, slot));
+                            .install_perfect(set.tuple_of(slot), fdt.home(slot));
+                        fdt.pinned.push((slot, slot));
                     }
                 }
                 if set.is_wide() || t.flows as usize > pin_budget {
                     fd_active = true;
                 }
-                fd_tenants.push(Some(FdTenant {
-                    set,
-                    queues,
-                    pinned,
-                }));
+                fd_tenants.push(Some(fdt));
                 gens.push(ArrivalSource::Multi(Box::new(MultiFlowGen::streaming(
                     set,
                     t.traffic,
@@ -550,37 +619,46 @@ impl System {
             tenants: fd_tenants,
             mix: vec![[0; 5]; cfg.workloads.len()],
         });
+        (gens, fd)
+    }
 
-        // --- explicit mbuf pools ------------------------------------------------
-        // RDCA sizing: a queue's pool budget is its equal share of the
-        // DDIO partition, so a Recycle pool's working set fits inside the
-        // I/O ways it recycles through. Dram pools carry the same budget
-        // for spill accounting only. Geometry is fixed at construction;
-        // the IAT tuner moving the boundary later does not resize pools.
-        let lines_per_buf = (idio_nic::ring::DEFAULT_BUF_BYTES / LINE_SIZE) as u32;
+    /// Build stage: per-queue software state — the kernel-allocated
+    /// (Invalidatable) DMA buffer pages, each queue's explicit mbuf pool,
+    /// and the NF state of the core it is pinned to.
+    ///
+    /// RDCA sizing: a queue's pool budget is its equal share of the DDIO
+    /// partition, so a Recycle pool's working set fits inside the I/O
+    /// ways it recycles through. Dram pools carry the same budget for
+    /// spill accounting only. Geometry is fixed at construction; the IAT
+    /// tuner moving the boundary later does not resize pools.
+    fn build_queues(
+        cfg: &SystemConfig,
+        regions: &[QueueRegions],
+        num_cores: usize,
+        hier: &mut Hierarchy,
+        nic: &mut Nic,
+    ) -> (PageTable, Vec<Option<NfState>>) {
         let pool_budget = {
             let h = hier.config();
             let ddio_lines = h.llc.lines() * h.ddio_ways as u64 / h.llc.ways as u64;
-            (ddio_lines / cfg.workloads.len().max(1) as u64).max(u64::from(lines_per_buf))
+            (ddio_lines / cfg.workloads.len().max(1) as u64).max(u64::from(BUF_LINES))
         };
-
-        // --- per-core software state -------------------------------------------
+        let mut page_table = PageTable::new();
         let mut nf: Vec<Option<NfState>> = (0..num_cores).map(|_| None).collect();
         for (qi, w) in cfg.workloads.iter().enumerate() {
-            // Kernel-allocates the DMA buffers as Invalidatable pages.
             allocate_invalidatable(
                 &mut page_table,
-                &mut hier,
+                hier,
                 regions[qi].buf_base,
-                u64::from(cfg.ring_size) * idio_nic::ring::DEFAULT_BUF_BYTES,
+                u64::from(cfg.ring_size) * DEFAULT_BUF_BYTES,
             );
             if let Some(spec) = w.pool {
-                let mode = spec.resolve(pool_budget, lines_per_buf, cfg.ring_size);
+                let mode = spec.resolve(pool_budget, BUF_LINES, cfg.ring_size);
                 nic.ring_mut(QueueId(qi as u16)).install_pool(BufPool::new(
                     mode,
                     regions[qi].buf_base,
-                    idio_nic::ring::DEFAULT_BUF_BYTES,
-                    lines_per_buf,
+                    DEFAULT_BUF_BYTES,
+                    BUF_LINES,
                     pool_budget,
                 ));
             }
@@ -601,8 +679,17 @@ impl System {
                 tx_ring: TxRing::new(cfg.ring_size, regions[qi].tx_desc_base),
             });
         }
+        (page_table, nf)
+    }
 
-        // --- antagonist ---------------------------------------------------------
+    /// Build stage: the LLC antagonist, if configured, with its buffer
+    /// mapped after the queues'. Warm-up: the antagonist initialises its
+    /// buffer (Sec. VI), then all cache statistics start from zero.
+    fn build_antagonist(
+        cfg: &SystemConfig,
+        map: &mut AddressMap,
+        hier: &mut Hierarchy,
+    ) -> Option<(CoreId, LlcAntagonist)> {
         let antagonist = cfg.antagonist.map(|spec| {
             let base = map.alloc(spec.buffer_bytes);
             let ant = LlcAntagonist::new(
@@ -611,61 +698,39 @@ impl System {
                     size_bytes: spec.buffer_bytes,
                     think_cycles: spec.think_cycles,
                 },
-                rng.fork(1),
+                SimRng::seed_from(cfg.seed).fork(1),
             );
             (spec.core, ant)
         });
-
-        // Warm-up: the antagonist initialises its buffer (Sec. VI), then all
-        // statistics start from zero.
         if let Some((core, ant)) = &antagonist {
-            let lines: Vec<LineAddr> = ant.warmup_lines().collect();
-            for l in lines {
+            for l in ant.warmup_lines() {
                 hier.cpu_write(*core, l);
             }
         }
         hier.reset_stats();
-        dram.reset_stats();
+        antagonist
+    }
 
-        let ctrl = IdioController::new(cfg.idio, num_cores);
-        let prefetchers = (0..num_cores)
-            .map(|_| MlcPrefetcher::new(cfg.prefetcher))
-            .collect();
+    /// Build stage: the control plane — the IDIO controller, per-core
+    /// prefetchers, the parked-hint arena, the CAT allocator and each
+    /// core's first policy domain.
+    fn build_control(
+        cfg: &SystemConfig,
+        policy: &PolicyTable,
+        num_cores: usize,
+    ) -> (
+        IdioController,
+        Vec<MlcPrefetcher>,
+        HintArena,
+        Option<CatController>,
+        Vec<Option<u16>>,
+    ) {
         // Parked-hint arena: only CPU-paced pacing ever parks. The ring
         // bound is exact — at most `ring_size` packets are in flight and
         // each parks at most one hint per line of its RX buffer slot.
         let hint_cap = match cfg.prefetcher.pacing {
-            crate::prefetcher::PrefetchPacing::CpuPaced { .. } => {
-                cfg.ring_size as usize * (idio_nic::ring::DEFAULT_BUF_BYTES / LINE_SIZE) as usize
-            }
-            crate::prefetcher::PrefetchPacing::Queued => 0,
-        };
-        let hints = HintArena::new(num_cores, hint_cap);
-        let timing = CoreTiming::new(cfg.timing);
-        let samplers = Samplers::new(cfg.sample_interval);
-        let bursts = cfg.workloads.first().and_then(|w| match w.traffic {
-            TrafficPattern::Bursty(spec) => Some(BurstTracker::new(spec.period)),
-            TrafficPattern::Steady { .. } | TrafficPattern::Poisson { .. } => None,
-        });
-        let core_bursts = match &bursts {
-            Some(b) => (0..num_cores)
-                .map(|_| BurstTracker::new(b.period()))
-                .collect(),
-            None => Vec::new(),
-        };
-        let hard_stop = cfg.duration + cfg.drain_grace;
-
-        let dma_line_ranges = regions
-            .iter()
-            .map(|r| {
-                let (lo, hi) = r.buf_range();
-                (lo.line().get(), hi.line().get())
-            })
-            .collect();
-        let tracer = if cfg.trace.is_off() {
-            Tracer::disabled()
-        } else {
-            Tracer::new(cfg.trace.clone(), DEFAULT_TRACE_CAPACITY)
+            PrefetchPacing::CpuPaced { .. } => cfg.ring_size as usize * BUF_LINES as usize,
+            PrefetchPacing::Queued => 0,
         };
         // CAT wiring: map each core to the first policy domain hosted on
         // it (queue order), and stand up the closed-loop allocator when
@@ -677,65 +742,34 @@ impl System {
                 *slot = Some(policy.queue_domain(q));
             }
         }
-        let cat = if policy.any_cat_auto() {
+        let cat = policy.any_cat_auto().then(|| {
             let auto: Vec<bool> = (0..policy.num_domains())
                 .map(|d| policy.caps(d as u16).cat == CatMode::Auto)
                 .collect();
-            Some(CatController::new(CatConfig::paper_default(), &auto))
-        } else {
-            None
-        };
-        let mut system = System {
-            queue: EventQueue::new(),
-            pending_arrival: vec![None; gens.len()],
-            gens,
-            hier,
-            dram,
-            nic,
-            page_table,
-            ctrl,
-            prefetchers,
-            timing,
-            nf,
-            antagonist,
-            samplers,
-            bursts,
-            core_bursts,
-            hard_stop,
-            dma_line_ranges,
-            sample_ticks: 0,
-            iat: vec![(0, 0, 0); policy.num_domains()],
+            CatController::new(CatConfig::paper_default(), &auto)
+        });
+        (
+            IdioController::new(cfg.idio, num_cores),
+            (0..num_cores)
+                .map(|_| MlcPrefetcher::new(cfg.prefetcher))
+                .collect(),
+            HintArena::new(num_cores, hint_cap),
             cat,
             core_domain,
-            cat_ddio: 0,
-            policy,
-            metrics: MetricsRegistry::new(),
-            tracer,
-            ev_counts: [0; Event::TYPES],
-            ev_wall: [std::time::Duration::ZERO; Event::TYPES],
-            steer: vec![[0; 3]; num_cores],
-            hints,
-            ctrl_wbs: Vec::with_capacity(num_cores),
-            ctrl_domain_wb: Vec::new(),
-            ctrl_fsm_before: Vec::new(),
-            tick_log: Vec::new(),
-            tick_last_steer: [0; 3],
-            fd,
-            tick_last_fd: [0; 5],
-            pool_last_active: vec![SimTime::ZERO; cfg.workloads.len()],
-            pool_flushed: vec![false; cfg.workloads.len()],
-            pool_idle_flushed: vec![0; cfg.workloads.len()],
-            cfg,
+        )
+    }
+
+    /// Build stage: the run-level burst tracker and one per core, when
+    /// the first workload's traffic is bursty (no trackers otherwise).
+    fn build_burst_trackers(
+        cfg: &SystemConfig,
+        num_cores: usize,
+    ) -> (Option<BurstTracker>, Vec<BurstTracker>) {
+        let Some(TrafficPattern::Bursty(spec)) = cfg.workloads.first().map(|w| w.traffic) else {
+            return (None, Vec::new());
         };
-        // The occupancy gauge counts DMA-buffer lines resident in the
-        // LLC; tracking the ranges in the array keeps that a counter
-        // read instead of a full-LLC scan every sample tick.
-        system.hier.track_llc_ranges(&system.dma_line_ranges);
-        if system.policy.any_cat() {
-            system.apply_cat_masks();
-        }
-        system.schedule_initial();
-        system
+        let tracker = || BurstTracker::new(spec.period);
+        (Some(tracker()), (0..num_cores).map(|_| tracker()).collect())
     }
 
     /// (Re)derives every core's CAT mask from the policy table and the
@@ -855,31 +889,7 @@ impl System {
     fn handle(&mut self, now: SimTime, ev: Event) {
         match ev {
             Event::Arrival { gen } => self.on_arrival(now, gen),
-            Event::DmaPacket {
-                buf_line,
-                meta,
-                arrival,
-                seq,
-                first,
-                gap,
-                lines,
-                next,
-                batch_seq,
-                domain,
-            } => self.on_dma_packet(
-                DmaBatch {
-                    buf_line,
-                    meta,
-                    arrival,
-                    seq,
-                    first,
-                    gap,
-                    lines,
-                    batch_seq,
-                    domain,
-                },
-                next,
-            ),
+            Event::DmaPacket(b) => self.on_dma_packet(b),
             Event::DescWriteback { queue, slot } => self.on_desc_writeback(now, queue, slot),
             Event::PrefetchIssue { core } => self.on_prefetch_issue(now, core),
             Event::CoreWake { core } => self.on_core_wake(now, core),
@@ -903,11 +913,10 @@ impl System {
         // Resolve the packet's *home* queue (where its flow's NF runs)
         // before the NIC steers it; comparing against the steered queue
         // is what detects flow-director mis-steers.
-        let home = self.fd.as_ref().and_then(|fd| {
-            let t = fd.tenants.get(gen)?.as_ref()?;
-            let slot = t.set.slot_of(&packet.flow)?;
-            Some(t.queues[slot as usize % t.queues.len()])
-        });
+        let home = self
+            .fd
+            .as_ref()
+            .and_then(|fd| fd.tenants.get(gen)?.as_ref()?.home_of(&packet.flow));
         if let Some(dma) = self.nic.rx_packet(now, packet) {
             if let (Some(home), Some(fd)) = (home, self.fd.as_mut()) {
                 let m = &mut fd.mix[home.index()];
@@ -929,8 +938,7 @@ impl System {
                     }
                 }
             }
-            self.pool_last_active[dma.queue.index()] = now;
-            self.pool_flushed[dma.queue.index()] = false;
+            self.pool_touched(now, dma.queue);
             let core = dma.dest_core.index();
             let seq = {
                 let st = self.nf_state(core, "Arrival");
@@ -944,7 +952,7 @@ impl System {
             let batch_seq = self.queue.next_seq();
             self.queue.schedule_at(
                 dma.payload.first,
-                Event::DmaPacket {
+                Event::DmaPacket(DmaBatch {
                     buf_line,
                     meta: dma.head_meta,
                     arrival: now,
@@ -955,7 +963,7 @@ impl System {
                     next: 0,
                     batch_seq,
                     domain: dma.policy_domain,
-                },
+                }),
             );
             self.queue.schedule_at(
                 dma.descriptor.done(),
@@ -983,39 +991,19 @@ impl System {
         }
     }
 
-    /// Applies one batched-DMA event from payload line `next` onward.
-    ///
-    /// Each line is applied at its own timestamp `first + gap * i`
-    /// (identical DRAM queueing and burst accounting to the per-line
-    /// events this replaces). Before applying line `i`, the queue head is
-    /// compared against the line's order key `(at_i, batch_seq)`: if some
-    /// interleaved event sorts earlier, the remaining lines are parked as
-    /// a continuation behind it via
-    /// [`EventQueue::schedule_resume`](idio_engine::queue::EventQueue::schedule_resume),
-    /// which preserves `batch_seq` so FIFO tie-breaks match the old
-    /// per-line scheduling exactly.
-    fn on_dma_packet(&mut self, b: DmaBatch, next: u32) {
+    /// Applies a [`DmaBatch`] from line `b.next` onward, each line at its
+    /// own timestamp; if an interleaved event sorts before line `i`'s
+    /// order key `(at_i, batch_seq)`, the rest is parked behind it via
+    /// [`EventQueue::schedule_resume`](idio_engine::queue::EventQueue::schedule_resume).
+    fn on_dma_packet(&mut self, mut b: DmaBatch) {
         let mut applied: u64 = 0;
-        for i in next..b.lines {
+        for i in b.next..b.lines {
             let at = b.first + b.gap * u64::from(i);
             if let Some(key) = self.queue.peek_key() {
                 if key < (at, b.batch_seq) {
-                    self.queue.schedule_resume(
-                        at,
-                        b.batch_seq,
-                        Event::DmaPacket {
-                            buf_line: b.buf_line,
-                            meta: b.meta,
-                            arrival: b.arrival,
-                            seq: b.seq,
-                            first: b.first,
-                            gap: b.gap,
-                            lines: b.lines,
-                            next: i,
-                            batch_seq: b.batch_seq,
-                            domain: b.domain,
-                        },
-                    );
+                    b.next = i;
+                    self.queue
+                        .schedule_resume(at, b.batch_seq, Event::DmaPacket(b));
                     break;
                 }
             }
@@ -1107,7 +1095,6 @@ impl System {
     }
 
     fn hier_prefetch_hint(&mut self, now: SimTime, core: usize, line: LineAddr, seq: u64) {
-        use crate::prefetcher::PrefetchPacing;
         if let PrefetchPacing::CpuPaced { window_packets } = self.cfg.prefetcher.pacing {
             if let Some(st) = self.nf[core].as_ref() {
                 if seq > st.done_seq + u64::from(window_packets) {
@@ -1147,7 +1134,6 @@ impl System {
     /// parked hint that cannot exist) is diagnosed inside
     /// [`HintArena::park`] with the core and sequence number.
     fn advance_cpu_pointer(&mut self, now: SimTime, core: usize) {
-        use crate::prefetcher::PrefetchPacing;
         let window = match self.cfg.prefetcher.pacing {
             PrefetchPacing::CpuPaced { window_packets } => u64::from(window_packets),
             PrefetchPacing::Queued => {
@@ -1169,7 +1155,6 @@ impl System {
 
     fn on_prefetch_issue(&mut self, now: SimTime, core: usize) {
         if let Some(line) = self.prefetchers[core].pop() {
-            use crate::prefetcher::PrefetchPacing;
             use idio_cache::hierarchy::PrefetchOutcome;
             // The CPU-paced prefetcher walks the ring just ahead of the
             // consumption pointer, so it may recover lines from DRAM; the
@@ -1316,11 +1301,8 @@ impl System {
             }
         }
         // The self-invalidate instructions run as part of the packet's
-        // service when the buffer is freed inline (drop path). Recycle
-        // pools self-invalidate on every free regardless of policy caps.
-        let free_inval =
-            self.queue_caps(queue).invalidate || self.nic.ring(queue).pool().invalidate_on_free();
-        if free_inval && work.action == PacketAction::Drop {
+        // service when the buffer is freed inline (drop path).
+        if work.action == PacketAction::Drop && self.invalidates_on_free(queue) {
             service += self.timing.invalidate(ctx.frame_lines());
         }
         let action = work.action;
@@ -1357,28 +1339,16 @@ impl System {
         let queue = self.nf_state(core, "CoreWake").queue;
         match action {
             PacketAction::Drop => {
-                if self.queue_caps(queue).invalidate
-                    || self.nic.ring(queue).pool().invalidate_on_free()
-                {
-                    self.invalidate_buffer(now, core, slot.buf, slot.packet.lines());
-                }
-                // The free returns this buffer to the queue's pool at the
-                // completion event (not steer time), so a recycle pool's
-                // LIFO list sees the true release order.
-                self.nic.ring_mut(queue).release(slot.buf);
-                self.pool_last_active[queue.index()] = now;
-                self.pool_flushed[queue.index()] = false;
-                self.record_completion(now, core, &slot);
+                self.free_buffer(now, core, queue, slot.buf, slot.packet.lines());
+                self.complete_packet(now, core, slot.arrived_at, &slot.packet.flow);
             }
             PacketAction::Tx { lines } => {
                 // Post a TX descriptor; the NIC reads the descriptor, then
                 // the packet data, then writes the completion back.
                 let st = self.nf_state(core, "CoreWake");
-                let posted = st
-                    .tx_ring
+                st.tx_ring
                     .post(slot.buf, lines, now)
                     .expect("tx ring sized to the rx ring cannot overflow");
-                let _ = posted;
                 let sched = self.nic.tx_packet(now, lines);
                 self.queue.schedule_at(
                     sched.done(),
@@ -1394,35 +1364,6 @@ impl System {
         }
     }
 
-    fn record_completion(&mut self, now: SimTime, core: usize, slot: &RxSlot) {
-        // aRFS-style learning: when flow-director pressure is being
-        // modelled, completing a packet lets the driver program the NIC's
-        // filter table with the flow's *home* queue (where its consumer
-        // actually runs — not where this packet happened to land), so
-        // unpinned flows converge onto ATR steering after their first
-        // completion. Drop-type NFs never transmit, so the hook lives at
-        // completion rather than TX.
-        if let Some(fd) = &self.fd {
-            if let Some(home) = fd.home_of(&slot.packet.flow) {
-                self.nic
-                    .flow_director_mut()
-                    .learn(now, &slot.packet.flow, home);
-            }
-        }
-        let st = self.nf_state(core, "CoreWake");
-        let lat = now.saturating_since(slot.arrived_at);
-        st.latency.record(lat);
-        st.lat_hist.record(lat.as_ns());
-        st.completed += 1;
-        if let Some(b) = &mut self.bursts {
-            b.record_completion(slot.arrived_at, now);
-        }
-        if !self.core_bursts.is_empty() {
-            self.core_bursts[core].record_completion(slot.arrived_at, now);
-        }
-        self.advance_cpu_pointer(now, core);
-    }
-
     fn on_tx_complete(
         &mut self,
         now: SimTime,
@@ -1432,13 +1373,12 @@ impl System {
         arrival: SimTime,
         flow: idio_net::packet::FiveTuple,
     ) {
-        if let Some(home) = self.fd.as_ref().and_then(|fd| fd.home_of(&flow)) {
-            // Under flow-director pressure the driver refreshes the filter
-            // table with the flow's home queue (see record_completion).
-            self.nic.flow_director_mut().learn(now, &flow, home);
-        } else if self.cfg.steering == FlowSteering::Atr {
-            // ATR: the NIC observes the TX and learns which queue (and
-            // therefore core) serves this flow.
+        // ATR: the NIC observes the TX and learns which queue (and
+        // therefore core) serves this flow — unless the flow has a home
+        // queue under flow-director pressure, which completion learns.
+        if self.cfg.steering == FlowSteering::Atr
+            && self.fd.as_ref().and_then(|fd| fd.home_of(&flow)).is_none()
+        {
             self.nic.flow_director_mut().learn(now, &flow, queue);
         }
         for l in 0..u64::from(lines) {
@@ -1455,15 +1395,56 @@ impl System {
                 .pcie_write(done.desc.line().offset(l), DmaPlacement::Llc);
             self.charge_dram(now, w.effects);
         }
-        if self.queue_caps(queue).invalidate || self.nic.ring(queue).pool().invalidate_on_free() {
+        self.free_buffer(now, core, queue, buf, lines);
+        self.complete_packet(now, core, arrival, &flow);
+    }
+
+    /// Whether freeing a buffer of `queue` self-invalidates it: the
+    /// queue's policy caps ask for it, or its recycle pool does on every
+    /// free regardless of caps.
+    fn invalidates_on_free(&self, queue: QueueId) -> bool {
+        self.queue_caps(queue).invalidate || self.nic.ring(queue).pool().invalidate_on_free()
+    }
+
+    /// Frees a consumed packet buffer: self-invalidates it if the queue
+    /// asks for that, then returns it to the queue's pool. The free
+    /// happens at completion (drop, or TX read-out), never at steer or
+    /// post time, so a recycle pool's LIFO list sees the true release
+    /// order.
+    fn free_buffer(&mut self, now: SimTime, core: usize, queue: QueueId, buf: Addr, lines: u32) {
+        if self.invalidates_on_free(queue) {
             self.invalidate_buffer(now, core, buf, lines);
         }
-        // TX-completion-time free: the buffer re-enters the pool only now
-        // that the NIC has read it out, never at steer or post time.
         self.nic.ring_mut(queue).release(buf);
+        self.pool_touched(now, queue);
+    }
+
+    /// Restarts `queue`'s pool idle-flush window (RX or buffer release).
+    fn pool_touched(&mut self, now: SimTime, queue: QueueId) {
         self.pool_last_active[queue.index()] = now;
         self.pool_flushed[queue.index()] = false;
-        let st = self.nf_state(core, "TxComplete");
+    }
+
+    /// Completion bookkeeping of one packet that arrived at `arrival`,
+    /// shared by the drop and TX paths.
+    fn complete_packet(
+        &mut self,
+        now: SimTime,
+        core: usize,
+        arrival: SimTime,
+        flow: &idio_net::packet::FiveTuple,
+    ) {
+        // aRFS-style learning: when flow-director pressure is being
+        // modelled, completing a packet lets the driver program the NIC's
+        // filter table with the flow's *home* queue (where its consumer
+        // actually runs — not where this packet happened to land), so
+        // unpinned flows converge onto ATR steering after their first
+        // completion. Drop-type NFs never transmit, so the hook lives at
+        // completion rather than TX.
+        if let Some(home) = self.fd.as_ref().and_then(|fd| fd.home_of(flow)) {
+            self.nic.flow_director_mut().learn(now, flow, home);
+        }
+        let st = self.nf_state(core, "completion");
         let lat = now.saturating_since(arrival);
         st.latency.record(lat);
         st.lat_hist.record(lat.as_ns());
@@ -1514,14 +1495,14 @@ impl System {
             if t.set.churn().is_none() || t.pinned.is_empty() {
                 continue;
             }
-            for (slot, last) in &mut t.pinned {
-                let idx = t.set.index_at(*slot, now);
-                if idx != *last {
-                    let q = t.queues[*slot as usize % t.queues.len()];
+            for i in 0..t.pinned.len() {
+                let (slot, last) = t.pinned[i];
+                let idx = t.set.index_at(slot, now);
+                if idx != last {
                     self.nic
                         .flow_director_mut()
-                        .install_perfect_evicting(t.set.tuple_of(idx), q);
-                    *last = idx;
+                        .install_perfect_evicting(t.set.tuple_of(idx), t.home(slot));
+                    t.pinned[i].1 = idx;
                 }
             }
         }
@@ -1535,7 +1516,6 @@ impl System {
         let Some(window) = self.cfg.pool_idle_flush else {
             return;
         };
-        let lines_per_buf = (idio_nic::ring::DEFAULT_BUF_BYTES / LINE_SIZE) as u32;
         for q in 0..self.cfg.workloads.len() {
             if self.pool_flushed[q] {
                 continue;
@@ -1553,7 +1533,7 @@ impl System {
                 .expect("pooled queue without an NF")
                 .regions
                 .buf_base;
-            self.invalidate_buffer(now, core, buf_base, self.cfg.ring_size * lines_per_buf);
+            self.invalidate_buffer(now, core, buf_base, self.cfg.ring_size * BUF_LINES);
             self.pool_flushed[q] = true;
             self.pool_idle_flushed[q] += 1;
         }
@@ -1689,9 +1669,7 @@ impl System {
     /// configured.
     fn record_tick_metrics(&mut self, now: SimTime) {
         use std::fmt::Write as _;
-        let total = self.steer.iter().fold([0u64; 3], |acc, s| {
-            [acc[0] + s[0], acc[1] + s[1], acc[2] + s[2]]
-        });
+        let total = self.steer_total();
         let delta = [
             total[0] - self.tick_last_steer[0],
             total[1] - self.tick_last_steer[1],
@@ -1777,6 +1755,14 @@ impl System {
         }
         line.push('}');
         self.tick_log.push(line);
+    }
+
+    /// Steering decisions by placement summed over cores: `[LLC, MLC,
+    /// DRAM]` line counts.
+    fn steer_total(&self) -> [u64; 3] {
+        self.steer.iter().fold([0; 3], |acc, s| {
+            [acc[0] + s[0], acc[1] + s[1], acc[2] + s[2]]
+        })
     }
 
     fn on_sample_tick(&mut self, now: SimTime) {
@@ -1890,9 +1876,7 @@ impl System {
         self.metrics.counter_set("llc.wb", totals.llc_wb);
         self.metrics.counter_set("dram.rd", totals.dram_rd);
         self.metrics.counter_set("dram.wr", totals.dram_wr);
-        let steer_total = self.steer.iter().fold([0u64; 3], |acc, s| {
-            [acc[0] + s[0], acc[1] + s[1], acc[2] + s[2]]
-        });
+        let steer_total = self.steer_total();
         self.metrics.counter_set("steer.llc", steer_total[0]);
         self.metrics.counter_set("steer.mlc", steer_total[1]);
         self.metrics.counter_set("steer.dram", steer_total[2]);
@@ -2802,5 +2786,39 @@ mod tests {
                 .any(|(n, _)| n.starts_with("pool.")),
             "legacy runs must not grow pool counters"
         );
+    }
+
+    #[test]
+    fn drop_and_tx_completions_are_counted_once_everywhere() {
+        // Both completion paths — the drop arm of `finish_packet` and
+        // `on_tx_complete` — end in the same free and completion steps,
+        // with or without a recycle pool in between: per core, the
+        // completion counter, the latency histogram and the latency
+        // summary all count each completed packet exactly once.
+        for kind in [NfKind::TouchDrop, NfKind::L2Fwd] {
+            for pool in [None, Some(idio_pool::PoolSpec::Recycle { slots: Some(32) })] {
+                let mut cfg = steady_cfg(10.0, SteeringPolicy::Idio);
+                for w in &mut cfg.workloads {
+                    w.kind = kind;
+                    w.pool = pool;
+                }
+                let report = System::new(cfg).run();
+                assert!(report.totals.completed_packets > 0, "{kind} {pool:?}");
+                assert_eq!(report.latency.len(), 2, "{kind} {pool:?}");
+                for (core, summary) in &report.latency {
+                    let i = core.index();
+                    let completed = report
+                        .metrics
+                        .counter(&format!("core{i}.packets.completed"));
+                    let hist = report
+                        .metrics
+                        .histogram(&format!("core{i}.pkt_latency_ns"))
+                        .expect("the core completed packets");
+                    assert!(completed > 0, "{kind} {pool:?} core{i}");
+                    assert_eq!(hist.count(), completed, "{kind} {pool:?} core{i}");
+                    assert_eq!(summary.count as u64, completed, "{kind} {pool:?} core{i}");
+                }
+            }
+        }
     }
 }

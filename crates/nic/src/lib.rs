@@ -29,6 +29,6 @@ pub use flow_director::{
     PERFECT_WAYS,
 };
 pub use nic::{Nic, NicConfig, NicStats, RingLayout, RxDma};
-pub use ring::{ReserveError, RxRing, RxSlot, DEFAULT_BUF_BYTES, DESC_BYTES};
+pub use ring::{ReserveError, RxRing, RxSlot, BUF_LINES, DEFAULT_BUF_BYTES, DESC_BYTES};
 pub use tlp::{AppClass, CoreRangeError, TlpHeader, TlpMeta};
 pub use tx::{TxRing, TxRingFullError, TxSlot, TX_DESC_BYTES};

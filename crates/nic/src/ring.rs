@@ -19,6 +19,8 @@ use idio_pool::BufPool;
 
 /// Default DMA buffer entry size: MTU packets round up to 2 KiB (Sec. IV-A).
 pub const DEFAULT_BUF_BYTES: u64 = 2048;
+/// Cache lines per DMA buffer entry.
+pub const BUF_LINES: u32 = (DEFAULT_BUF_BYTES / LINE_SIZE) as u32;
 /// Descriptor record size (Sec. III, observation 1).
 pub const DESC_BYTES: u64 = 128;
 
@@ -110,11 +112,7 @@ impl RxRing {
     ///
     /// Panics if `size` is zero.
     pub fn new(size: u32, buf_base: Addr, desc_base: Addr) -> Self {
-        let pool = BufPool::unbudgeted_dram(
-            buf_base,
-            DEFAULT_BUF_BYTES,
-            (DEFAULT_BUF_BYTES / LINE_SIZE) as u32,
-        );
+        let pool = BufPool::unbudgeted_dram(buf_base, DEFAULT_BUF_BYTES, BUF_LINES);
         RxRing::with_pool(size, desc_base, pool)
     }
 

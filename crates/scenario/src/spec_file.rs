@@ -1411,11 +1411,8 @@ fn build_scenario(raw: &RawFile, read_trace_file: &TraceReader<'_>) -> Result<Sc
         },
         None => FlowSteering::Perfect,
     };
-    let duration = SimTime::from_ps(time_ps(
-        &raw.top,
-        "duration",
-        SimTime::from_us(400).as_ps(),
-    )?);
+    let duration =
+        SimTime::ZERO + opt_positive_time(&raw.top, "duration")?.unwrap_or(Duration::from_us(400));
     let drain_grace = Duration::from_ps(time_ps(
         &raw.top,
         "drain_grace",

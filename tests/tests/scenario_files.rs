@@ -220,6 +220,7 @@ fn bad_corpus_errors_name_line_and_column() {
             14,
             "packet_len 4096 exceeds the 2048-byte DMA buffer",
         ),
+        ("bad-zero-duration.toml", 5, 15, "duration must be positive"),
     ];
     let dir = bad_dir();
     for (file, line, col, needle) in cases {
